@@ -115,7 +115,7 @@ def test_plane_memoized_reread_100k(benchmark):
 
 @pytest.mark.benchmark(group="kernels-plane")
 def test_plane_split_8_shards_100k(benchmark):
-    partitioner = Partitioner(8, seed=3)
+    partitioner = Partitioner(8, seed=3, requests=PLANE_REQUESTS)
 
     def run():
         plane = HashPlane(ARRAY)

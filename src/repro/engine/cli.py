@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--queue-depth", type=int, default=8, metavar="D",
-        help="per-shard queue bound, in sub-batches (default: 8)",
+        help="ingest queue bound, in chunks (default: 8)",
     )
     parser.add_argument(
         "--workers", type=int, default=0, metavar="W",

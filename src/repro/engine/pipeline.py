@@ -6,19 +6,27 @@ into a concurrent streaming sink:
 - the **submitting thread** canonicalizes each incoming batch, slices it
   into chunks of ``chunk_size`` items, builds one shared
   :class:`~repro.kernels.HashPlane` per chunk, prefetches the hash
-  arrays the pool's shards will read, and enqueues gathered per-shard
-  sub-planes — so a chunk is hashed exactly once, in the producer;
-- **one worker thread per shard** drains its own bounded FIFO queue into
-  its own estimator. Exclusive shard ownership means no locks on the hot
-  path, and FIFO ordering preserves within-shard arrival order — so a
-  drained pipeline holds *bit-for-bit* the same state as synchronous
+  arrays the pool's shards will read, splits it once into per-shard
+  sub-planes and enqueues the chunk's sub-planes together — one mixing
+  pass, one split and one queue hand-off per chunk, all in the producer;
+- **one apply thread** drains that single bounded FIFO of chunks and
+  applies each chunk's sub-planes in shard order. The apply thread is
+  the only writer of every shard, so the hot path takes no locks, and
+  FIFO chunk order keeps within-shard arrival order — a drained
+  pipeline holds *bit-for-bit* the same state as synchronous
   ``pool.record_many`` over the same stream (asserted by the stateful
-  engine test). Sub-planes own gathered copies of their arrays, so
-  handing them across the thread boundary is safe.
+  engine test). Sub-planes are slices of arrays gathered for that chunk
+  alone, so handing them across the thread boundary is safe.
 
-**Backpressure.** Queues are bounded (``queue_depth`` sub-batches per
-shard); :meth:`IngestPipeline.submit` blocks when a shard's consumer
-falls behind, so an unbounded producer cannot exhaust memory.
+One apply thread is enough: CPython threads interleave on the GIL, so
+per-shard threads would only contend for it. The overlap that matters —
+the producer hashing and splitting chunk ``i+1`` while chunk ``i`` is
+applied — needs only two threads. The multicore path is the process
+backend (``workers > 0``).
+
+**Backpressure.** The queue is bounded (``queue_depth`` chunks);
+:meth:`IngestPipeline.submit` blocks when the apply thread falls
+behind, so an unbounded producer cannot exhaust memory.
 
 **Multiple producers.** :meth:`submit` may be called from any number of
 threads concurrently — in particular from an executor pool driven by an
@@ -32,12 +40,12 @@ whatever order their enqueues interleave in — estimator state is
 order-insensitive for a fixed key *set*, and per-producer FIFO still
 holds, which is what the serving layer's per-connection semantics need.
 
-**Shutdown.** :meth:`drain` blocks until every enqueued sub-batch has
+**Shutdown.** :meth:`drain` blocks until every enqueued chunk has
 been applied (safe point for :meth:`estimate` or a checkpoint);
-:meth:`close` drains, stops the workers, and re-raises the first worker
-error, if any. Lifecycle transitions are lock-guarded: concurrent
+:meth:`close` drains, stops the apply thread, and re-raises the first
+apply error, if any. Lifecycle transitions are lock-guarded: concurrent
 ``close`` calls elect exactly one finisher, a submit racing a close
-either completes before the stop sentinels go out or raises
+either completes before the stop sentinel goes out or raises
 ``RuntimeError`` — never enqueues behind a sentinel. The pipeline is a
 context manager::
 
@@ -46,23 +54,26 @@ context manager::
             pipe.submit(batch)
     print(pool.query())
 
-**Failure accounting.** Once a worker has failed, the remaining workers
-drop every further sub-batch instead of applying it; ``submit`` stops
-enqueueing at the next chunk boundary and raises. The counters stay
-honest through this: ``records_submitted`` counts only records of
-chunks that were actually enqueued, ``records_dropped`` counts records
-the workers discarded (including the partially-applied failing batch,
-whose shard state is suspect), so ``records_submitted -
-records_dropped`` is the number of records fully applied to the pool.
+**Failure accounting.** Once a sub-plane has failed to apply, the apply
+thread drops the rest of that chunk and every later chunk instead of
+applying them; ``submit`` stops enqueueing at the next chunk boundary
+and raises. The counters stay honest through this:
+``records_submitted`` counts only records of chunks that were actually
+enqueued, ``records_dropped`` counts records the apply thread discarded
+(including the partially-applied failing sub-plane, whose shard state
+is suspect), so ``records_submitted - records_dropped`` is the number
+of records fully applied to the pool.
 
 **Observability.** When the process-wide :mod:`repro.obs` registry is
 enabled, the pipeline emits submitted/dropped counters, per-shard queue
-depth gauges, and backpressure-wait / batch-apply latency histograms,
-and attaches per-shard SMB adaptivity gauges via the pool observer
-(exposed as :attr:`IngestPipeline.pool_observer`). All metric work
-happens per chunk or per sub-batch — never per item — and with the
-default :class:`~repro.obs.metrics.NullRegistry` the instrumented
-branches collapse to a single ``is None`` check.
+depth gauges (every shard reads the chunk queue's depth: each queued
+chunk carries at most one sub-plane per shard), and backpressure-wait /
+per-shard apply latency histograms, and attaches per-shard SMB
+adaptivity gauges via the pool observer (exposed as
+:attr:`IngestPipeline.pool_observer`). All metric work happens per
+chunk or per sub-plane — never per item — and with the default
+:class:`~repro.obs.metrics.NullRegistry` the instrumented branches
+collapse to a single ``is None`` check.
 
 **Durability.** Constructed with a
 :class:`~repro.engine.recovery.CheckpointManager` and
@@ -70,12 +81,10 @@ branches collapse to a single ``is None`` check.
 drained safe point every ``N`` enqueued records (see
 :meth:`IngestPipeline.checkpoint_now` and ``docs/recovery.md``); the
 crash windows on both sides of the queue hand-off carry
-:mod:`repro.testing.faults` failpoints (``pipeline.queue-put``,
-``pipeline.worker-apply``) for the fault-injection suite.
-
-Throughput note: CPython threads interleave on the GIL, but NumPy
-releases it inside the vectorized kernels that dominate the batch path,
-so partitioning and per-shard recording genuinely overlap.
+:mod:`repro.testing.faults` failpoints for the fault-injection suite:
+``pipeline.queue-put`` fires once per non-empty sub-plane before the
+chunk's single enqueue, ``pipeline.worker-apply`` once per sub-plane
+applied.
 """
 
 from __future__ import annotations
@@ -122,8 +131,8 @@ class IngestPipeline:
     chunk_size:
         Submitted batches are partitioned in chunks of this many items.
     queue_depth:
-        Bound of each per-shard queue, in sub-batches; the submit path
-        blocks (backpressure) when a queue is full.
+        Bound of the chunk queue, in chunks; the submit path blocks
+        (backpressure) when it is full.
     checkpoint_manager / checkpoint_every:
         Optional crash-durability wiring: with a
         :class:`~repro.engine.recovery.CheckpointManager` and a
@@ -137,7 +146,7 @@ class IngestPipeline:
         0 (default) runs the threaded backend described above. A
         positive count switches to the **process backend**: chunks are
         routed to a :class:`~repro.parallel.pool.ProcessShardPool` with
-        that many worker processes instead of per-shard threads, so
+        that many worker processes instead of the apply thread, so
         hashing and recording scale past one core. The recorded state
         is bit-for-bit identical either way; checkpoints are composed
         from worker state at the same safe points and restore on either
@@ -196,11 +205,10 @@ class IngestPipeline:
             )
         else:
             self._backend = None
-        # Each queue carries gathered per-shard HashPlane sub-batches
-        # plus the _STOP sentinel, hence Any.
-        self._queues: list[queue.Queue[Any]] = [] if self._backend else [
-            queue.Queue(maxsize=queue_depth) for __ in pool.shards
-        ]
+        # Each entry is one chunk's list of (shard index, sub-plane)
+        # pairs, or the _STOP sentinel, hence Any. Unused (and empty)
+        # on the process backend.
+        self._queue: queue.Queue[Any] = queue.Queue(maxsize=queue_depth)
         self._errors: list[BaseException] = []
         # Lifecycle state: _closed flips exactly once, under _lifecycle;
         # submits register in _active_submits so close() can wait for
@@ -237,68 +245,78 @@ class IngestPipeline:
                 self._parallel_obs = ParallelMetrics(
                     registry, self._backend.num_workers
                 )
-        self._workers = [] if self._backend else [
-            threading.Thread(
-                target=self._work,
-                args=(shard_index,),
-                name=f"ingest-shard-{shard_index}",
-                daemon=True,
+        self._applier: threading.Thread | None = None
+        if self._backend is None:
+            self._applier = threading.Thread(
+                target=self._apply, name="ingest-apply", daemon=True
             )
-            for shard_index in range(pool.num_shards)
-        ]
-        for worker in self._workers:
-            worker.start()
+            self._applier.start()
 
     # ------------------------------------------------------------------
-    # Worker side
+    # Apply side
     # ------------------------------------------------------------------
-    def _work(self, shard_index: int) -> None:
-        """Drain one shard's queue into its estimator (worker thread).
-
-        After any worker has failed, every worker *drops* further
-        sub-batches (counted in :attr:`records_dropped`) instead of
-        applying them — the pool state is already suspect and the
-        submitting thread is about to raise.
-        """
-        shard = self.pool.shards[shard_index]
-        inbox = self._queues[shard_index]
-        obs = self._obs
+    def _apply(self) -> None:
+        """Apply queued chunks to the shards (the apply thread)."""
+        inbox = self._queue
         while True:
-            batch = inbox.get()
+            chunk = inbox.get()
             try:
-                if batch is _STOP:
+                if chunk is _STOP:
                     return
-                if self._errors:
-                    self._count_dropped(batch.size)
-                elif obs is None:
-                    fire("pipeline.worker-apply")
-                    shard._record_plane(batch)
-                    self._count_applied(batch.size)
-                else:
-                    began = time.perf_counter()
-                    try:
-                        fire("pipeline.worker-apply")
-                        shard._record_plane(batch)
-                        self._count_applied(batch.size)
-                    finally:
-                        obs.apply_latency[shard_index].observe(
-                            time.perf_counter() - began
-                        )
-                        obs.queue_depth[shard_index].set(inbox.qsize())
-            except BaseException as error:  # pragma: no cover - defensive
-                self._errors.append(error)
-                # The failing batch may be partially applied; its shard
-                # state is suspect, so bill the whole batch as dropped.
-                self._count_dropped(batch.size)
+                self._apply_chunk(chunk)
             finally:
                 inbox.task_done()
 
-    def _count_dropped(self, count: int) -> None:
+    def _apply_chunk(self, parts: list[tuple[int, HashPlane]]) -> None:
+        """Apply one chunk's sub-planes in shard order.
+
+        After any sub-plane has failed, the rest of this chunk and every
+        later one is *dropped* (counted in :attr:`records_dropped`)
+        instead of applied — the pool state is already suspect and the
+        submitting thread is about to raise. Counters are billed once
+        per chunk.
+        """
+        shards = self.pool.shards
+        obs = self._obs
+        applied = dropped = dropped_batches = 0
+        # analysis: allow(purity.loop) -- one iteration per non-empty
+        # sub-plane (at most K per chunk), each applied vectorized
+        for shard_index, part in parts:
+            if self._errors:
+                dropped += part.size
+                dropped_batches += 1
+                continue
+            began = time.perf_counter() if obs is not None else 0.0
+            try:
+                fire("pipeline.worker-apply")
+                shards[shard_index]._record_plane(part)
+                applied += part.size
+            except BaseException as error:
+                # Not re-raised: the apply thread must outlive any
+                # failure or drain() would wait forever; producers
+                # re-raise it from _errors. The failing sub-plane may be
+                # partially applied, so bill it whole as dropped.
+                self._errors.append(error)
+                dropped += part.size
+                dropped_batches += 1
+            finally:
+                if obs is not None:
+                    obs.apply_latency[shard_index].observe(
+                        time.perf_counter() - began
+                    )
+        if applied:
+            self._count_applied(applied)
+        if dropped:
+            self._count_dropped(dropped, dropped_batches)
+        if obs is not None:
+            self._observe_depth(obs)
+
+    def _count_dropped(self, count: int, batches: int) -> None:
         with self._count_lock:
             self.records_dropped += int(count)
         if self._obs is not None:
             self._obs.dropped.inc(count)
-            self._obs.batches_dropped.inc()
+            self._obs.batches_dropped.inc(batches)
 
     def _count_applied(self, count: int) -> None:
         with self._count_lock:
@@ -308,7 +326,7 @@ class IngestPipeline:
     def records_applied(self) -> int:
         """Records fully applied to the pool.
 
-        Thread backend: the worker-maintained counter. Process backend:
+        Thread backend: the apply thread's counter. Process backend:
         a live read of the workers' shared-memory counters (no IPC)."""
         if self._backend is not None:
             return self._backend.records_applied
@@ -321,16 +339,16 @@ class IngestPipeline:
     def submit(self, items: Iterable[object] | np.ndarray) -> int:
         """Partition a batch and enqueue it; returns the enqueued count.
 
-        Blocks while any target shard queue is full (backpressure).
-        Raises ``RuntimeError`` if the pipeline is closed or a worker
-        has failed — the failure check runs before *every* chunk, so a
-        mid-stream worker death stops the producer at the next chunk
+        Blocks while the chunk queue is full (backpressure). Raises
+        ``RuntimeError`` if the pipeline is closed or applying has
+        failed — the failure check runs before *every* chunk, so a
+        mid-stream apply failure stops the producer at the next chunk
         boundary. Counters (:attr:`records_submitted`, the pool's
-        routing hash ops) only ever cover chunks whose every sub-plane
-        was actually enqueued — both are billed *after* the enqueue
-        loop, so a failure mid-chunk (partitioner error, injected
-        ``pipeline.queue-put`` fault) cannot skew routing-ops
-        accounting relative to the record counters.
+        routing hash ops) only ever cover chunks that were actually
+        enqueued — both are billed *after* the enqueue, so a failure
+        mid-chunk (partitioner error, injected ``pipeline.queue-put``
+        fault) enqueues nothing of that chunk and cannot skew
+        routing-ops accounting relative to the record counters.
 
         Submit-vs-close is deterministic: a submit that starts after
         :meth:`close` was called raises immediately; a submit already
@@ -360,9 +378,9 @@ class IngestPipeline:
         values = canonical_u64_array(items)
         if self._backend is not None:
             return self._submit_process(values)
-        # Hash in the producer, at full chunk width: NumPy releases the
-        # GIL inside the vectorized hash kernels, so prefetching here
-        # overlaps with the workers applying earlier sub-planes.
+        # Hash and split in the producer, at full chunk width, so the
+        # apply thread only records; with one shard the split is the
+        # identity and the prefetch is all the hashing there is.
         requests = self.pool.plane_requests()
         obs = self._obs
         enqueued = 0
@@ -370,22 +388,27 @@ class IngestPipeline:
             self._raise_pending()  # fast-fail between chunks
             plane = HashPlane(values[start:start + self.chunk_size])
             plane.prefetch(requests)
-            for shard_index, part in enumerate(
-                self.pool.partitioner.split_plane(plane)
-            ):
-                if not part.size:
-                    continue
+            parts = [
+                (shard_index, part)
+                for shard_index, part in enumerate(
+                    self.pool.partitioner.split_plane(plane)
+                )
+                if part.size
+            ]
+            # analysis: allow(purity.loop) -- one failpoint per
+            # non-empty sub-plane (at most K per chunk), never per item
+            for __ in parts:
                 fire("pipeline.queue-put")
-                if obs is None:
-                    self._queues[shard_index].put(part)
-                else:
-                    self._put_observed(shard_index, part, obs)
-            # Billed only after the whole chunk is enqueued — the
-            # routing hashes were *used* (split_plane), but accounting
-            # must stay consistent with records_submitted, which a
-            # mid-chunk failure must not advance either. Same
-            # routing-hash accounting as ShardPool._record_plane (the
-            # pipeline partitions directly, bypassing that method).
+            if obs is None:
+                self._queue.put(parts)
+            else:
+                self._put_observed(parts, obs)
+            # Billed only after the chunk is enqueued — the routing
+            # hashes were *used* (split_plane), but accounting must stay
+            # consistent with records_submitted, which a mid-chunk
+            # failure must not advance either. Same routing-hash
+            # accounting as ShardPool._record_plane (the pipeline
+            # partitions directly, bypassing that method).
             checkpoint_due = False
             with self._count_lock:
                 if self.pool.num_shards > 1:
@@ -504,20 +527,26 @@ class IngestPipeline:
                 self._lifecycle.notify_all()
 
     def _put_observed(
-        self, shard_index: int, part: HashPlane, obs: "PipelineMetrics"
+        self, parts: list[tuple[int, HashPlane]], obs: "PipelineMetrics"
     ) -> None:
-        """Enqueue one sub-batch, timing any backpressure stall."""
-        inbox = self._queues[shard_index]
+        """Enqueue one chunk, timing any backpressure stall."""
         try:
-            inbox.put_nowait(part)
+            self._queue.put_nowait(parts)
         except queue.Full:
             began = time.perf_counter()
-            inbox.put(part)
+            self._queue.put(parts)
             obs.backpressure.observe(time.perf_counter() - began)
-        obs.queue_depth[shard_index].set(inbox.qsize())
+        self._observe_depth(obs)
+
+    def _observe_depth(self, obs: "PipelineMetrics") -> None:
+        """Publish the chunk queue's depth on every shard's gauge."""
+        depth = self._queue.qsize()
+        # analysis: allow(purity.loop) -- one gauge per shard (K), per chunk
+        for gauge in obs.queue_depth:
+            gauge.set(depth)
 
     def drain(self) -> None:
-        """Block until every enqueued sub-batch has been applied.
+        """Block until every enqueued chunk has been applied.
 
         After ``drain`` returns (and before further ``submit`` calls)
         the estimator state is identical to a synchronous ingest of all
@@ -531,8 +560,7 @@ class IngestPipeline:
             if self._parallel_obs is not None:
                 self._parallel_obs.update(self._backend)
             return
-        for inbox in self._queues:
-            inbox.join()
+        self._queue.join()
         if self.pool_observer is not None:
             self.pool_observer.update()
         self._raise_pending()
@@ -540,8 +568,8 @@ class IngestPipeline:
     def sync_pool(self) -> None:
         """Make ``self.pool`` reflect all applied records.
 
-        A no-op on the threaded backend (workers mutate the pool's
-        shards in place); on the process backend this folds worker
+        A no-op on the threaded backend (the apply thread mutates the
+        pool's shards in place); on the process backend this folds worker
         shard state back into the pool — required before serializing
         or checkpointing it. Callers should :meth:`drain` first.
         """
@@ -567,16 +595,16 @@ class IngestPipeline:
         return self.pool.query()
 
     def close(self) -> None:
-        """Drain, stop the workers, and surface any worker error.
+        """Drain, stop the apply thread, and surface any apply error.
 
         Thread-safe and idempotent *under concurrency*: the ``_closed``
         flip happens under the lifecycle lock, so exactly one caller
-        becomes the finisher (joins queues, enqueues the stop sentinels
-        once, joins the workers); every other concurrent or later call
-        waits for that shutdown to complete and returns. The finisher
-        also waits out in-flight :meth:`submit` calls before sending
-        the sentinels, so no sub-batch is ever enqueued behind a
-        sentinel — the submit-vs-close race resolves deterministically
+        becomes the finisher (joins the queue, enqueues the stop
+        sentinel once, joins the apply thread); every other concurrent
+        or later call waits for that shutdown to complete and returns.
+        The finisher also waits out in-flight :meth:`submit` calls
+        before sending the sentinel, so no chunk is ever enqueued
+        behind it — the submit-vs-close race resolves deterministically
         (late submits raise, in-flight submits finish first).
         """
         with self._lifecycle:
@@ -595,13 +623,10 @@ class IngestPipeline:
         try:
             if self._backend is not None:
                 self._shutdown_backend()
-            else:
-                for inbox in self._queues:
-                    inbox.join()
-                for inbox in self._queues:
-                    inbox.put(_STOP)
-                for worker in self._workers:
-                    worker.join()
+            elif self._applier is not None:
+                self._queue.join()
+                self._queue.put(_STOP)
+                self._applier.join()
                 if self.pool_observer is not None:
                     self.pool_observer.update()
         finally:
@@ -646,7 +671,7 @@ class IngestPipeline:
         exc: BaseException | None,
         tb: "TracebackType | None",
     ) -> None:
-        """Exit: close the pipeline (always drains — on a worker
+        """Exit: close the pipeline (always drains — after an apply
         failure the remaining queue entries drain as counted drops)."""
         self.close()
 

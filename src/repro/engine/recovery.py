@@ -53,6 +53,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.engine import checkpoint
 from repro.estimators.base import CardinalityEstimator
+from repro.framing import UnsupportedVersionError
 from repro.obs.metrics import get_registry
 from repro.testing.faults import fire
 
@@ -62,6 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "CheckpointManager",
     "Generation",
+    "IncompatibleCheckpointError",
     "RecoveryError",
     "RetryPolicy",
     "TRANSIENT_ERRNOS",
@@ -87,6 +89,15 @@ _MANIFEST_VERSION = 1
 
 class RecoveryError(RuntimeError):
     """No generation in the checkpoint directory could be restored."""
+
+
+class IncompatibleCheckpointError(RecoveryError):
+    """Nothing restored, and some generation was intact but written in a
+    format version this build cannot read (e.g. a v1 ``POOL``).
+
+    Unlike a torn or missing directory this is not a reason to start
+    fresh: the data exists and starting over would silently discard it.
+    """
 
 
 class RetryPolicy:
@@ -343,7 +354,9 @@ class CheckpointManager:
         is validated by :func:`repro.engine.checkpoint.load` (magic,
         CRC, strict framing); a torn or truncated one is skipped — and
         counted as a fallback — rather than trusted. Raises
-        :class:`RecoveryError` when nothing restores.
+        :class:`RecoveryError` when nothing restores, or its subclass
+        :class:`IncompatibleCheckpointError` when some generation was
+        intact but in a format version this build cannot read.
         """
         obs = self._obs
         began = time.perf_counter() if obs is not None else 0.0
@@ -352,11 +365,13 @@ class CheckpointManager:
         with self._lock:
             candidates = list(reversed(self._merged_generations()))
         failures: list[str] = []
+        incompatible = False
         for candidate in candidates:
             try:
                 estimator = checkpoint.load(candidate.path)
             except (OSError, ValueError) as error:
                 failures.append(f"{os.path.basename(candidate.path)}: {error}")
+                incompatible |= isinstance(error, UnsupportedVersionError)
                 if obs is not None:
                     obs.fallbacks.inc()
                 continue
@@ -364,6 +379,11 @@ class CheckpointManager:
                 obs.load_seconds.observe(time.perf_counter() - began)
             return estimator, candidate
         detail = "; ".join(failures) if failures else "no generations found"
+        if incompatible:
+            raise IncompatibleCheckpointError(
+                f"cannot restore {self.directory!r}: its generations were "
+                f"written in an unsupported format version ({detail})"
+            )
         raise RecoveryError(
             f"no loadable checkpoint generation in {self.directory!r} "
             f"({detail})"

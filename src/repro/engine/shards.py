@@ -33,17 +33,39 @@ the checkpoint layer like any other estimator.
 from __future__ import annotations
 
 import struct
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.estimators.base import CardinalityEstimator
 from repro.engine.partition import Partitioner
+from repro.framing import UnsupportedVersionError
 from repro.kernels import HashPlane
 from repro.kernels.plane import PlaneRequest
 
 _HEADER = struct.Struct("<4sHIQ")  # magic, version, num_shards, seed
 _SHARD_HEADER = struct.Struct("<BQ")  # class-name length, payload length
 _MAGIC = b"POOL"
-_VERSION = 1
+#: v2 routes by the high half of the shards' shared geometric hash
+#: (see ``repro.engine.partition``); v1 used a dedicated route seed
+#: reduced modulo K, so a v1 pool's shards hold different sub-streams.
+_VERSION = 2
+
+
+def shared_plane_requests(
+    shards: Sequence[CardinalityEstimator],
+) -> tuple[PlaneRequest, ...]:
+    """Plane requests every one of ``shards`` makes, in first-seen order.
+
+    Requests unique to a subset of shards are left out: they are cheaper
+    to compute at sub-plane width after partitioning than at full chunk
+    width before it.
+    """
+    counts: dict[PlaneRequest, int] = {}
+    for shard in shards:
+        for request in dict.fromkeys(shard.plane_requests()):
+            counts[request] = counts.get(request, 0) + 1
+    return tuple(
+        request for request, count in counts.items() if count == len(shards)
+    )
 
 
 def estimator_registry() -> dict[str, type[CardinalityEstimator]]:
@@ -97,7 +119,10 @@ class ShardPool(CardinalityEstimator):
     num_shards:
         Number of shards ``K`` (>= 1).
     seed:
-        Seed of the partition hash (independent of estimator seeds).
+        Pool seed. Routing reuses the uniform hash behind a geometric
+        request every shard shares, when there is one, and otherwise a
+        dedicated seed derived from this one (see
+        :class:`~repro.engine.partition.Partitioner`).
     """
 
     name = "ShardPool"
@@ -108,7 +133,6 @@ class ShardPool(CardinalityEstimator):
         num_shards: int,
         seed: int = 0,
     ) -> None:
-        self.partitioner = Partitioner(num_shards, seed)
         self.shards: list[CardinalityEstimator] = [
             factory(index) for index in range(num_shards)
         ]
@@ -118,6 +142,9 @@ class ShardPool(CardinalityEstimator):
                     f"factory returned {type(shard).__name__} for shard "
                     f"{index}; expected a CardinalityEstimator"
                 )
+        self.partitioner = Partitioner(
+            num_shards, seed, shared_plane_requests(self.shards)
+        )
         super().__init__()  # zeroes the routing counters via the setters
 
     @classmethod
@@ -211,34 +238,26 @@ class ShardPool(CardinalityEstimator):
     def plane_requests(self) -> tuple[PlaneRequest, ...]:
         """Routing hash plus every request shared by all shards.
 
-        Requests unique to a subset of shards are left out: they are
-        cheaper to compute at sub-plane width after partitioning than
-        at full chunk width before it. ``ShardPool.of`` gives every
-        shard the same estimator seed, so there the full request set is
-        prefetched and the shards never hash at all.
+        ``ShardPool.of`` gives every shard the same estimator seed, so
+        there the full request set is prefetched and the shards never
+        hash at all; when the shards share a geometric request the
+        routing hash *is* that request's uniform array, so one mixing
+        pass serves both.
         """
-        requests: list[PlaneRequest] = []
-        if self.num_shards > 1:
-            requests.append(self.partitioner.plane_request())
-        counts: dict[PlaneRequest, int] = {}
-        for shard in self.shards:
-            for request in dict.fromkeys(shard.plane_requests()):
-                counts[request] = counts.get(request, 0) + 1
-        requests.extend(
-            request
-            for request, count in counts.items()
-            if count == self.num_shards and request not in requests
+        if self.num_shards == 1:
+            return shared_plane_requests(self.shards)
+        route = self.partitioner.plane_request()
+        return (route,) + tuple(
+            r for r in self.partitioner.requests if r != route
         )
-        return tuple(requests)
 
     def _record_plane(self, plane: HashPlane) -> None:
         if self.num_shards == 1:
             self.shards[0]._record_plane(plane)
             return
         self._route_hash_ops += plane.size
-        # Hash once at full vector width, then hand each shard a pure
-        # gather of the arrays it will read.
-        plane.prefetch(self.plane_requests())
+        # split_plane hashes once at full vector width, then hands each
+        # shard a slice of one gather of the arrays it will read.
         # analysis: allow(purity.loop) -- one iteration per shard (K),
         # each applying a vectorized sub-plane, never per item
         for shard, part in zip(
@@ -269,8 +288,13 @@ class ShardPool(CardinalityEstimator):
 
     @property
     def seed(self) -> int:
-        """Seed of the partition hash."""
+        """Pool seed (the dedicated route seed derives from it)."""
         return self.partitioner.seed
+
+    @property
+    def route_seed(self) -> int:
+        """Seed of the uniform hash the partition reads."""
+        return self.partitioner.route_seed
 
     # ------------------------------------------------------------------
     # Capabilities
@@ -286,7 +310,7 @@ class ShardPool(CardinalityEstimator):
         """
         self._check_mergeable(other)
         assert isinstance(other, ShardPool)  # _check_mergeable guarantees it
-        self._check_merge_params(other, "num_shards", "seed")
+        self._check_merge_params(other, "num_shards", "seed", "route_seed")
         for mine, theirs in zip(self.shards, other.shards):
             mine.merge(theirs)
 
@@ -333,8 +357,18 @@ class ShardPool(CardinalityEstimator):
             raise ValueError("not a serialized ShardPool: too short") from error
         if magic != _MAGIC:
             raise ValueError("not a serialized ShardPool")
+        if version == 1:
+            raise UnsupportedVersionError(
+                "unsupported ShardPool version 1: v1 pools used a different "
+                "routing function (a dedicated route seed reduced modulo "
+                "the shard count), so their shards hold sub-streams this "
+                f"version would route elsewhere; version {_VERSION} is "
+                "required. Re-ingest the stream to rebuild the pool."
+            )
         if version != _VERSION:
-            raise ValueError(f"unsupported ShardPool version {version}")
+            raise UnsupportedVersionError(
+                f"unsupported ShardPool version {version}"
+            )
         registry = estimator_registry()
         shards: list[CardinalityEstimator] = []
         offset = _HEADER.size

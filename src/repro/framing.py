@@ -25,7 +25,22 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["unpack_header", "take", "read_array", "require_consumed"]
+__all__ = [
+    "UnsupportedVersionError",
+    "unpack_header",
+    "take",
+    "read_array",
+    "require_consumed",
+]
+
+
+class UnsupportedVersionError(ValueError):
+    """An intact payload in a format version this build cannot decode.
+
+    Distinct from corruption: retrying or falling back to an older copy
+    of the same data cannot help, so callers that recover from damaged
+    data (``CheckpointManager.load_latest``) report it instead.
+    """
 
 
 def unpack_header(header: struct.Struct, data: bytes, what: str) -> tuple[Any, ...]:

@@ -26,11 +26,12 @@ position arrays and 1 byte/item for geometric levels; a plane over an
 8192-item chunk with three consumers typically holds 3-5 arrays
 (~200 KB), freed with the plane when the chunk has been applied.
 
-Partitioning: :meth:`take` builds a sub-plane for a subset of the chunk
-(the engine's per-shard sub-streams), gathering every *already
-materialized* array instead of re-hashing — the gathered copies are
-owned by the sub-plane, so handing sub-planes to worker threads is
-safe while the parent is no longer mutated.
+Partitioning: :meth:`split` turns one chunk into the engine's per-shard
+sub-planes. It gathers the values and each requested array once, in
+grouped order, and slices the gathered arrays into contiguous
+sub-planes — nothing is re-hashed, and arrays no shard asked for are
+left behind. The sub-planes share those gathered copies but never the
+parent's arrays, so handing them to another thread is safe.
 """
 
 from __future__ import annotations
@@ -78,13 +79,12 @@ class HashPlane:
         arbitrary items.
     """
 
-    __slots__ = ("values", "_uniform", "_geometric", "_positions")
+    __slots__ = ("values", "_arrays")
 
     def __init__(self, values: np.ndarray) -> None:
         self.values = values
-        self._uniform: dict[int, np.ndarray] = {}
-        self._geometric: dict[int, np.ndarray] = {}
-        self._positions: dict[tuple[int, int], np.ndarray] = {}
+        #: Materialized arrays keyed by their (normalized) plane request.
+        self._arrays: dict[PlaneRequest, np.ndarray] = {}
 
     @classmethod
     def of(cls, items: Iterable[object] | np.ndarray) -> "HashPlane":
@@ -101,11 +101,11 @@ class HashPlane:
     # ------------------------------------------------------------------
     def uniform(self, seed: int) -> np.ndarray:
         """``UniformHash(seed)`` over the chunk, computed at most once."""
-        seed = int(seed)
-        array = self._uniform.get(seed)
+        key = uniform_request(seed)
+        array = self._arrays.get(key)
         if array is None:
-            array = UniformHash(seed).hash_array(self.values)
-            self._uniform[seed] = array
+            array = UniformHash(key[1]).hash_array(self.values)
+            self._arrays[key] = array
         return array
 
     def geometric(self, seed: int) -> np.ndarray:
@@ -115,71 +115,81 @@ class HashPlane:
         pair needing both (e.g. SMB's sampling filter plus a mirror's
         register ranks) shares the expensive mixing pass.
         """
-        seed = int(seed)
-        array = self._geometric.get(seed)
+        key = geometric_request(seed)
+        array = self._arrays.get(key)
         if array is None:
-            array = trailing_zeros_array(self.uniform(seed))
-            self._geometric[seed] = array
+            array = trailing_zeros_array(self.uniform(key[1]))
+            self._arrays[key] = array
         return array
 
     def positions(self, seed: int, modulus: int) -> np.ndarray:
         """``uniform(seed) % modulus``, memoized per ``(seed, modulus)``."""
-        key = (int(seed), int(modulus))
-        array = self._positions.get(key)
+        key = positions_request(seed, modulus)
+        array = self._arrays.get(key)
         if array is None:
-            array = self.uniform(key[0]) % np.uint64(key[1])
-            self._positions[key] = array
+            array = self.uniform(key[1]) % np.uint64(key[2])
+            self._arrays[key] = array
         return array
+
+    def _array(self, request: PlaneRequest) -> np.ndarray:
+        """The array one plane request names, computed at most once."""
+        kind = request[0]
+        if kind == "uniform":
+            return self.uniform(request[1])
+        if kind == "geometric":
+            return self.geometric(request[1])
+        if kind == "positions":
+            return self.positions(request[1], request[2])
+        raise ValueError(f"unknown plane request {request!r}")
 
     def prefetch(self, requests: Iterable[PlaneRequest]) -> None:
         """Materialize every requested array (full vector width).
 
-        Pools call this before :meth:`take` so the per-shard sub-planes
+        Pools call this before :meth:`split` so the per-shard sub-planes
         are pure gathers — the shards themselves never hash.
         """
         # analysis: allow(purity.loop) -- iterates the request list (a
         # handful of descriptors), never the chunk values
         for request in requests:
-            kind = request[0]
-            if kind == "uniform":
-                self.uniform(request[1])
-            elif kind == "geometric":
-                self.geometric(request[1])
-            elif kind == "positions":
-                self.positions(request[1], request[2])
-            else:
-                raise ValueError(f"unknown plane request {request!r}")
+            self._array(request)
 
     # ------------------------------------------------------------------
     # Derived planes
     # ------------------------------------------------------------------
-    def take(self, indices: np.ndarray) -> "HashPlane":
-        """Sub-plane of ``values[indices]`` with gathered hash arrays.
+    def split(
+        self,
+        order: np.ndarray,
+        bounds: np.ndarray,
+        requests: Iterable[PlaneRequest],
+    ) -> list["HashPlane"]:
+        """Sub-planes of the chunk regrouped by ``order``.
 
-        Every array already materialized on this plane is gathered into
-        the child (no re-hashing); arrays requested later on the child
-        are computed over the child's values only. The child owns its
-        copies, so it can cross a thread boundary.
+        Sub-plane ``k`` holds ``values[order[bounds[k]:bounds[k+1]]]``.
+        The values and each requested array (computed here first if not
+        yet materialized) are gathered once, in ``order``; the sub-planes
+        are contiguous slices of those gathered arrays and carry only
+        the requested ones. Arrays a child reads later are computed at
+        the child's width.
         """
-        child = HashPlane(self.values[indices])
-        # analysis: allow(purity.loop) -- per memoized array, gathers vectorized
-        for seed, array in self._uniform.items():
-            child._uniform[seed] = array[indices]
-        # analysis: allow(purity.loop) -- per memoized array, gathers vectorized
-        for seed, array in self._geometric.items():
-            child._geometric[seed] = array[indices]
-        # analysis: allow(purity.loop) -- per memoized array, gathers vectorized
-        for key, array in self._positions.items():
-            child._positions[key] = array[indices]
+        grouped = HashPlane(self.values[order])
+        grouped._arrays = {
+            request: self._array(request)[order] for request in requests
+        }
+        return [
+            grouped._slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+
+    def _slice(self, lo: int, hi: int) -> "HashPlane":
+        """Contiguous sub-plane sharing this plane's arrays as views."""
+        child = HashPlane(self.values[lo:hi])
+        child._arrays = {
+            request: array[lo:hi] for request, array in self._arrays.items()
+        }
         return child
 
     def materialized(self) -> Sequence[PlaneRequest]:
         """The requests currently cached (diagnostics and tests)."""
-        return (
-            tuple(("uniform", seed) for seed in self._uniform)
-            + tuple(("geometric", seed) for seed in self._geometric)
-            + tuple(("positions", *key) for key in self._positions)
-        )
+        return tuple(self._arrays)
 
     def __repr__(self) -> str:
         return (

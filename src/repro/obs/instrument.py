@@ -86,15 +86,15 @@ class PipelineMetrics:
         )
         self.dropped = registry.counter(
             "repro_ingest_records_dropped_total",
-            "Records dropped because a shard worker had already failed",
+            "Records dropped because an earlier sub-plane failed to apply",
         )
         self.batches_dropped = registry.counter(
             "repro_ingest_batches_dropped_total",
-            "Sub-batches dropped because a shard worker had already failed",
+            "Sub-planes dropped because an earlier sub-plane failed to apply",
         )
         depth = registry.gauge(
             "repro_ingest_queue_depth",
-            "Sub-batches currently queued per shard",
+            "Chunks currently queued (each carries one sub-plane per shard)",
             labels=("shard",),
         )
         apply_latency = registry.histogram(
@@ -108,7 +108,7 @@ class PipelineMetrics:
         self.apply_latency = [apply_latency.labels(shard=s) for s in shards]
         self.backpressure = registry.histogram(
             "repro_ingest_backpressure_wait_seconds",
-            "Time the submit path blocked on a full shard queue",
+            "Time the submit path blocked on the full chunk queue",
             buckets=LATENCY_BUCKETS,
         )
 

@@ -4,10 +4,11 @@
 :class:`~repro.engine.shards.ShardPool` and moves shard *execution*
 into worker processes, each owning a contiguous range of shards:
 
-- the parent computes only the **routing** hash (the same seeded
-  partition function as the threaded path, so an item lands on the same
-  shard either way), gathers each worker's values plus their global
-  shard ids, and appends them to that worker's SPSC
+- the parent computes only the **routing** hash (the same partition
+  function as the threaded path, so an item lands on the same shard
+  either way), groups each message by shard with one stable counting
+  sort, and appends each worker's contiguous slice of values plus their
+  global shard ids to that worker's SPSC
   :class:`~repro.parallel.ring.ShmRing`;
 - workers hash and apply batches against estimator planes adopted into
   :class:`~repro.parallel.shm.WorkerArena` shared-memory segments and
@@ -41,6 +42,7 @@ from typing import TYPE_CHECKING, Any, Callable, NoReturn
 import numpy as np
 
 from repro.estimators.base import CardinalityEstimator
+from repro.engine.partition import group_by_shard
 from repro.engine.shards import ShardPool, estimator_registry
 from repro.kernels import HashPlane
 from repro.parallel.ring import RingBrokenError, ShmRing
@@ -262,25 +264,25 @@ class ProcessShardPool(CardinalityEstimator):
             if num_shards > 1:
                 ids = partitioner.shard_ids(chunk)
                 self._pool._route_hash_ops += chunk.size
+                # One stable counting sort: each worker's shard range
+                # becomes one contiguous slice, in stream order per shard.
+                order, bounds = group_by_shard(ids, num_shards)
+                chunk, ids = chunk[order], ids[order]
             else:
-                ids = np.zeros(chunk.size, dtype=np.uint64)
-            # analysis: allow(purity.loop) -- one gather per worker (N),
-            # vectorized masks, never per item
+                ids = np.zeros(chunk.size, dtype=np.uint8)
+                bounds = np.array([0, chunk.size])
+            # analysis: allow(purity.loop) -- one slice per worker (N),
+            # never per item
             for worker_index, (lo, hi) in enumerate(self.ranges):
-                if lo == 0 and hi == num_shards:
-                    sub_values, sub_ids = chunk, ids
-                else:
-                    mask = (ids >= np.uint64(lo)) & (ids < np.uint64(hi))
-                    if not np.any(mask):
-                        continue
-                    sub_values = chunk[mask]
-                    sub_ids = ids[mask]
+                first, last = bounds[lo], bounds[hi]
+                if first == last:
+                    continue
                 self._post(
                     worker_index,
                     b"D"
-                    + _COUNT.pack(sub_values.size)
-                    + sub_values.tobytes()
-                    + sub_ids.astype(np.uint32).tobytes(),
+                    + _COUNT.pack(last - first)
+                    + chunk[first:last].tobytes()
+                    + ids[first:last].astype(np.uint32).tobytes(),
                 )
         return int(values.size)
 

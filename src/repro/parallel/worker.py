@@ -29,10 +29,10 @@ Control replies travel over a pipe: ``("ready", plane_bytes)`` once at
 startup, ``("flush", token, batches, records)``,
 ``("snapshot", token, [(class_name, blob), ...], batches, records)``,
 ``("stopped",)``, and ``("error", traceback_text)`` on any failure.
-Within-shard arrival order is preserved end to end (the parent gathers
-per worker preserving stream order; ``flatnonzero`` preserves it per
-shard), which is what keeps the process backend bit-exact with the
-threaded path for order-sensitive estimators such as SMB.
+Within-shard arrival order is preserved end to end (the parent's and
+the worker's counting sorts are both stable), which is what keeps the
+process backend bit-exact with the threaded path for order-sensitive
+estimators such as SMB.
 """
 
 from __future__ import annotations
@@ -43,32 +43,14 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from repro.engine.shards import estimator_registry
-from repro.estimators.base import CardinalityEstimator
+from repro.engine.partition import group_by_shard
+from repro.engine.shards import estimator_registry, shared_plane_requests
 from repro.kernels import HashPlane
-from repro.kernels.plane import PlaneRequest
 from repro.parallel.ring import ShmRing
 from repro.parallel.shm import WorkerArena
 
 _COUNT = struct.Struct("<I")
 _TOKEN = struct.Struct("<Q")
-
-
-def _common_requests(
-    shards: list[CardinalityEstimator],
-) -> tuple[PlaneRequest, ...]:
-    """Plane requests shared by every local shard (prefetched at full
-    message width; the rest compute at sub-plane width) — the same
-    prefetch policy as ``ShardPool.plane_requests``."""
-    counts: dict[PlaneRequest, int] = {}
-    for shard in shards:
-        for request in dict.fromkeys(shard.plane_requests()):
-            counts[request] = counts.get(request, 0) + 1
-    return tuple(
-        request
-        for request, count in counts.items()
-        if count == len(shards)
-    )
 
 
 class _WorkerState:
@@ -80,10 +62,11 @@ class _WorkerState:
             registry[class_name].from_bytes(blob)
             for class_name, blob in spec["shards"]
         ]
-        self.global_ids = [int(gid) for gid in spec["shard_ids"]]
+        #: Global id of the first owned shard; owned ids are contiguous.
+        self.first_id = int(spec["shard_ids"][0])
         self.arena = WorkerArena.attach(spec["arena"])
         self.plane_bytes = self.arena.adopt(self.shards)
-        self.requests = _common_requests(self.shards)
+        self.requests = shared_plane_requests(self.shards)
         self.batches = 0
         self.records = 0
         self._sequence = 0
@@ -108,18 +91,22 @@ class _WorkerState:
         ids = np.frombuffer(payload, dtype=np.uint32, count=count,
                             offset=offset + 8 * count)
         plane = HashPlane(values)
-        plane.prefetch(self.requests)
         touched: list[int] = []
         if len(self.shards) == 1:
+            plane.prefetch(self.requests)
             self.shards[0]._record_plane(plane)
             touched.append(0)
         else:
+            order, bounds = group_by_shard(
+                ids - np.uint32(self.first_id), len(self.shards)
+            )
             # analysis: allow(purity.loop) -- one iteration per owned
             # shard, each applying a vectorized sub-plane
-            for index, gid in enumerate(self.global_ids):
-                selection = np.flatnonzero(ids == np.uint32(gid))
-                if selection.size:
-                    self.shards[index]._record_plane(plane.take(selection))
+            for index, part in enumerate(
+                plane.split(order, bounds, self.requests)
+            ):
+                if part.size:
+                    self.shards[index]._record_plane(part)
                     touched.append(index)
         self.batches += 1
         self.records += count

@@ -16,7 +16,9 @@ The first line printed is machine-parseable —
 driver can start the server on ``--port 0`` and scrape the ephemeral
 port. ``--resume`` restores the newest valid generation from
 ``--checkpoint-dir`` (fresh registry when the directory is empty), so
-a crashed or drained server picks up bit-exact at its last safe point.
+a crashed or drained server picks up bit-exact at its last safe point;
+a checkpoint it must not start over — a mismatched tenant config or an
+unsupported format version — exits with a ``cannot restore`` error.
 The ``REPRO_FAULTS`` environment variable arms
 :mod:`repro.testing.faults` failpoints inside the server process
 (the kill-and-resume suite crashes the ingest path this way).
@@ -34,7 +36,7 @@ import signal
 import sys
 
 from repro.engine.pipeline import DEFAULT_CHUNK
-from repro.engine.recovery import CheckpointManager
+from repro.engine.recovery import CheckpointManager, RecoveryError
 from repro.serve import protocol
 from repro.serve.server import CardinalityServer
 from repro.serve.tenants import TenantConfig
@@ -68,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shards", type=int, default=1, metavar="K",
-        help="hash shards (and ingest threads) per tenant (default: 1)",
+        help="hash shards per tenant (default: 1)",
     )
     parser.add_argument(
         "--design-cardinality", type=int, default=1_000_000, metavar="N*",
@@ -86,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--queue-depth", type=int, default=8, metavar="D",
-        help="per-shard queue bound, in sub-batches (default: 8)",
+        help="ingest queue bound, in chunks (default: 8)",
     )
     parser.add_argument(
         "--workers", type=int, default=0, metavar="W",
@@ -150,6 +152,8 @@ def serve_main(argv: list[str] | None = None) -> int:
         previous_registry = None
     try:
         return asyncio.run(_run(args))
+    except RecoveryError as exc:
+        raise SystemExit(f"cannot restore from {args.checkpoint_dir}: {exc}")
     finally:
         if armed_plan is not None:
             set_plan(NullFaultPlan())

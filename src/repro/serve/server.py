@@ -264,11 +264,12 @@ class CardinalityServer:
         final checkpoint of :meth:`stop`, and ``resume``.
     resume:
         Restore the newest valid generation from the manager's
-        directory at :meth:`start` (fresh start when none restores).
+        directory at :meth:`start` (fresh start when none restores;
+        an unsupported format version is refused, see :meth:`start`).
     chunk_size / queue_depth:
         Per-tenant :class:`~repro.engine.pipeline.IngestPipeline`
-        tuning. Each active tenant costs ``config.shards`` worker
-        threads — bound ``config.max_tenants`` accordingly.
+        tuning. Each active tenant costs one apply thread — bound
+        ``config.max_tenants`` accordingly.
     workers:
         When positive, each tenant's pipeline ingests through that many
         shard worker *processes* with shared-memory estimator planes
@@ -325,17 +326,25 @@ class CardinalityServer:
         With ``resume=True`` and a checkpoint manager, the newest valid
         generation is restored first (a missing or unreadable directory
         falls back to a fresh registry — the same semantics as the
-        engine CLI's ``--resume``).
+        engine CLI's ``--resume``). Generations in a format version
+        this build cannot read raise
+        :class:`~repro.engine.recovery.IncompatibleCheckpointError`
+        instead: starting fresh over them would discard their data.
         """
         if self._listener is not None:
             raise RuntimeError("server is already started")
         self._loop = asyncio.get_running_loop()
         self._started_at = time.perf_counter()
         if self.resume and self.checkpoint_manager is not None:
-            from repro.engine.recovery import RecoveryError
+            from repro.engine.recovery import (
+                IncompatibleCheckpointError,
+                RecoveryError,
+            )
 
             try:
                 restored, generation = self.checkpoint_manager.load_latest()
+            except IncompatibleCheckpointError:
+                raise
             except RecoveryError:
                 pass  # nothing restorable: fresh start
             else:

@@ -311,13 +311,11 @@ class TestCloseLifecycleRace:
             for thread in threads:
                 thread.join()
             assert not errors
-            # Exactly one set of stop sentinels went out and was fully
+            # Exactly one stop sentinel went out and was fully
             # consumed: a doubled close used to leave a second sentinel
-            # stuck in every queue.
-            assert all(inbox.empty() for inbox in pipeline._queues)
-            assert all(
-                not worker.is_alive() for worker in pipeline._workers
-            )
+            # stuck in the queue.
+            assert pipeline._queue.empty()
+            assert not pipeline._applier.is_alive()
 
     def test_submit_racing_close_raises_or_completes(self):
         for __ in range(10):
@@ -343,10 +341,8 @@ class TestCloseLifecycleRace:
             assert outcomes in (["completed"], ["raised"])
             # Whatever the interleaving, nothing was enqueued behind
             # the sentinels and every enqueued record was applied.
-            assert all(inbox.empty() for inbox in pipeline._queues)
-            assert all(
-                not worker.is_alive() for worker in pipeline._workers
-            )
+            assert pipeline._queue.empty()
+            assert not pipeline._applier.is_alive()
             assert pipeline.records_dropped == 0
 
     def test_submit_after_close_raises_immediately(self):
@@ -360,4 +356,4 @@ class TestCloseLifecycleRace:
         pipeline.submit(STREAM[:1_000])
         pipeline.close()
         pipeline.close()
-        assert all(inbox.empty() for inbox in pipeline._queues)
+        assert pipeline._queue.empty()

@@ -76,26 +76,37 @@ class TestHashPlane:
         with pytest.raises(ValueError, match="unknown plane request"):
             plane.prefetch([("md5", 0)])
 
-    def test_take_gathers_materialized_arrays(self):
+    def test_split_gathers_requested_arrays(self):
         plane = HashPlane(VALUES)
         plane.prefetch([uniform_request(4), positions_request(5, 600)])
-        indices = np.flatnonzero(VALUES % np.uint64(3) == 0)
-        child = plane.take(indices)
-        assert np.array_equal(child.values, VALUES[indices])
-        # Gathered, not re-hashed — and still correct.
-        assert set(child.materialized()) >= set(plane.materialized())
-        assert np.array_equal(
-            child.uniform(4), UniformHash(4).hash_array(VALUES[indices])
-        )
-        # Arrays requested only on the child are computed at child width.
-        assert child.geometric(6).size == indices.size
+        order = np.argsort(VALUES % np.uint64(3), kind="stable")
+        bounds = np.array([0, 100, 100, VALUES.size])
+        children = plane.split(order, bounds, [positions_request(5, 600)])
+        assert [child.size for child in children] == [100, 0, VALUES.size - 100]
+        for child, lo, hi in zip(children, bounds[:-1], bounds[1:]):
+            part = VALUES[order[lo:hi]]
+            assert np.array_equal(child.values, part)
+            # Only the requested array travels: the unrequested uniform
+            # array stays behind with the parent.
+            assert child.materialized() == (positions_request(5, 600),)
+            # Gathered, not re-hashed — and still correct.
+            assert np.array_equal(
+                child.positions(5, 600),
+                UniformHash(5).hash_array(part) % np.uint64(600),
+            )
+            # Arrays requested only on the child are computed at child width.
+            assert child.geometric(6).size == part.size
 
-    def test_take_child_owns_copies(self):
+    def test_split_children_own_copies(self):
         plane = HashPlane(VALUES)
         plane.prefetch([uniform_request(8)])
-        child = plane.take(np.arange(16))
-        child.uniform(8)[:] = 0
+        order = np.arange(VALUES.size)
+        bounds = np.array([0, 16, VALUES.size])
+        first, __ = plane.split(order, bounds, [uniform_request(8)])
+        first.uniform(8)[:] = 0
+        first.values[:] = 0
         assert plane.uniform(8)[:16].any()  # parent untouched
+        assert plane.values[:16].any()
 
 
 class TestScatterKernels:
@@ -172,15 +183,19 @@ class TestPartitionerPlanes:
     def test_split_plane_matches_split(self):
         from repro.engine.partition import Partitioner
 
-        for num_shards in (1, 4, 40):  # mask path, and the sort path
-            partitioner = Partitioner(num_shards, seed=2)
+        for num_shards in (1, 4, 40, 300):  # 8-bit ids, and 16-bit ids
+            partitioner = Partitioner(
+                num_shards, seed=2, requests=[uniform_request(11)]
+            )
             plane = HashPlane(VALUES)
-            plane.prefetch([uniform_request(11)])
             arrays = partitioner.split(VALUES)
             planes = partitioner.split_plane(plane)
             assert len(arrays) == len(planes) == num_shards
             for part, sub in zip(arrays, planes):
                 assert np.array_equal(part, sub.values)
+                if num_shards > 1:
+                    # The shards' request travels with each sub-plane.
+                    assert sub.materialized() == (uniform_request(11),)
                 # Gathered arrays line up with a fresh hash of the part.
                 assert np.array_equal(
                     sub.uniform(11), UniformHash(11).hash_array(part)

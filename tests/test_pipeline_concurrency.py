@@ -238,3 +238,43 @@ def test_routing_accounting_under_concurrency():
     # One routing hash per submitted record, despite 8-way contention on
     # the shared counters (they are billed together, under one lock).
     assert pool._route_hash_ops == submitted
+
+
+def test_single_apply_thread_under_forced_switching():
+    """8 producers on 4 shards with a tiny switch interval: the one apply
+    thread loses no sub-plane. A Bitmap's state is the OR of its bits,
+    so the drained pool must equal a synchronous ingest byte for byte
+    whatever order the producers' chunks interleaved in."""
+    import sys
+    import threading
+
+    pool = build_pool(num_shards=4)
+    oracle = build_pool(num_shards=4)
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with IngestPipeline(pool, chunk_size=CHUNK, queue_depth=2) as pipe:
+            threads = [
+                threading.Thread(
+                    target=lambda index=index: [
+                        pipe.submit(batch_for(index, batch_index))
+                        for batch_index in range(BATCHES_PER_PRODUCER)
+                    ]
+                )
+                for index in range(PRODUCERS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            pipe.drain()
+            applied = pipe.records_applied
+    finally:
+        sys.setswitchinterval(previous)
+    total = PRODUCERS * BATCHES_PER_PRODUCER * BATCH
+    assert applied == total
+    for index in range(PRODUCERS):
+        for batch_index in range(BATCHES_PER_PRODUCER):
+            oracle.record_many(batch_for(index, batch_index))
+    assert pool.to_bytes() == oracle.to_bytes()

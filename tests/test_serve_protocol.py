@@ -171,6 +171,8 @@ def test_any_suffix_extension_is_rejected(request, garbage):
             protocol.ESTIMATE,
             protocol.STATS,
             protocol.CHECKPOINT,
+            protocol.EXPORT,
+            protocol.MERGE_IN,
         )
     ),
     st.binary(max_size=32),

@@ -919,7 +919,7 @@ def bench_plane(items: np.ndarray) -> dict:
     def split():
         plane = HashPlane(items)
         plane.prefetch(requests)
-        Partitioner(8, seed=3).split_plane(plane)
+        Partitioner(8, seed=3, requests=requests).split_plane(plane)
 
     plane = HashPlane(items)
     plane.prefetch(requests)
