@@ -1,23 +1,21 @@
-"""Engine scaling: shard-pool ingest throughput vs shard count and backend.
+"""Engine scaling: shard-pool ingest throughput vs shard count.
 
-Benchmarks the sharded ingestion engine (synchronous pool path, the
-threaded pipeline path, and the process-worker pipeline path) for SMB
-and HLL++ across shard counts, and asserts the acceptance shape: at K=1
+Benchmarks the sharded ingestion engine (synchronous pool path and the
+threaded pipeline path) for SMB and HLL++ across shard counts, and
+asserts the acceptance shape: at K=1
 the pool adds no pathological overhead over the bare estimator's
 ``record_many`` (the single-shard partitioner is the identity and
 computes no routing hash at all).
 
-Runnable standalone for the per-backend scaling report::
+Runnable standalone for the scaling report::
 
     PYTHONPATH=src python benchmarks/bench_engine_scaling.py
     PYTHONPATH=src python benchmarks/bench_engine_scaling.py \\
         --json scaling.json --items 1000000
 
-which prints Mdps per (estimator, shard count, backend) and — with
+which prints Mdps per (estimator, shard count, path) and — with
 ``--json`` — writes the same rows machine-readable, including the
-host's CPU count (scaling claims are meaningless without it). The
-multicore tentpole's snapshot tool, ``tools/bench_scaling.py``, builds
-on the same measurement helpers.
+host's CPU count.
 """
 
 import argparse
@@ -72,23 +70,6 @@ def test_pipeline_ingest(benchmark, name, num_shards, items_1m):
     )
 
 
-@pytest.mark.benchmark(group="engine-pipeline-ingest")
-@pytest.mark.parametrize("name", ESTIMATORS)
-def test_process_pipeline_ingest(benchmark, name, items_1m):
-    """The process-worker backend at 4 shards / 2 workers (startup
-    excluded from the measured region by pedantic setup)."""
-
-    def run(pool):
-        with IngestPipeline(pool, workers=2) as pipe:
-            pipe.submit(items_1m)
-
-    benchmark.pedantic(
-        run,
-        setup=lambda: ((make_pool(name, 4),), {}),
-        rounds=3,
-    )
-
-
 def test_single_shard_pool_matches_bare_estimator(items_1m):
     """Acceptance: K=1 pool ingest >= bare record_many, within noise.
 
@@ -119,15 +100,13 @@ def test_sharded_estimates_stay_additive(items_100k):
         assert pool.query() == pytest.approx(items_100k.size, rel=0.1)
 
 
-def time_pipeline(pool: ShardPool, items, workers: int = 0) -> float:
+def time_pipeline(pool: ShardPool, items) -> float:
     """Seconds for one pipeline ingest of ``items`` (drain included).
 
-    ``workers=0`` is the threaded backend; positive counts ingest
-    through that many shard worker processes. Worker startup happens
-    before the clock starts — the curves compare steady-state ingest,
-    not process spawn cost.
+    The apply thread starts before the clock does — the curves compare
+    steady-state ingest, not thread startup.
     """
-    pipeline = IngestPipeline(pool, workers=workers)
+    pipeline = IngestPipeline(pool)
     try:
         start = time.perf_counter()
         pipeline.submit(items)
@@ -137,39 +116,34 @@ def time_pipeline(pool: ShardPool, items, workers: int = 0) -> float:
         pipeline.close()
 
 
-def measure_backends(items, estimators=ESTIMATORS, shard_counts=SHARD_COUNTS):
-    """Mdps per (estimator, shard count, backend) — the scaling rows.
+def measure_paths(items, estimators=ESTIMATORS, shard_counts=SHARD_COUNTS):
+    """Mdps per (estimator, shard count, path) — the scaling rows.
 
-    Backends: ``pool`` (synchronous ``record_many``), ``thread`` (the
-    in-process pipeline) and ``process`` (one worker process per shard,
-    capped at the shard count).
+    Paths: ``pool`` (synchronous ``record_many``) and ``thread`` (the
+    pipeline: producer hash/split plus one apply thread).
     """
     rows = []
     for name in estimators:
         for num_shards in shard_counts:
             sync_seconds = time_recording(make_pool(name, num_shards), items)
             thread_seconds = time_pipeline(make_pool(name, num_shards), items)
-            process_seconds = time_pipeline(
-                make_pool(name, num_shards), items, workers=num_shards
-            )
             rows.append({
                 "estimator": name,
                 "shards": num_shards,
                 "items": int(items.size),
                 "pool_mdps": round(mdps(items.size, sync_seconds), 3),
                 "thread_mdps": round(mdps(items.size, thread_seconds), 3),
-                "process_mdps": round(mdps(items.size, process_seconds), 3),
             })
     return rows
 
 
 def main(argv=None) -> int:
-    """Print Mdps per estimator, shard count and backend; optional JSON."""
+    """Print Mdps per estimator, shard count and path; optional JSON."""
     from repro.bench.reporting import format_table
     from repro.streams import distinct_items
 
     parser = argparse.ArgumentParser(
-        description="Engine ingest throughput vs shard count and backend"
+        description="Engine ingest throughput vs shard count"
     )
     parser.add_argument(
         "--items", type=int, default=1_000_000,
@@ -184,16 +158,16 @@ def main(argv=None) -> int:
     items = distinct_items(args.items, seed=7)
     # Warm NumPy's ufunc dispatch outside the measured region.
     make_pool("SMB", 2).record_many(items[:8192])
-    rows = measure_backends(items)
+    rows = measure_paths(items)
     print(format_table(
-        ["estimator", "shards", "pool Mdps", "thread Mdps", "process Mdps"],
+        ["estimator", "shards", "pool Mdps", "thread Mdps"],
         [
             [row["estimator"], row["shards"], row["pool_mdps"],
-             row["thread_mdps"], row["process_mdps"]]
+             row["thread_mdps"]]
             for row in rows
         ],
         title=(
-            f"Engine ingest throughput vs shard count and backend "
+            f"Engine ingest throughput vs shard count "
             f"({args.items} items, {os.cpu_count()} CPUs)"
         ),
     ))

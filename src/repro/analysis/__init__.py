@@ -16,8 +16,6 @@ guards           ``# guarded-by:`` fields stay under their declared lock
 lockorder        the acquires-while-holding graph stays acyclic
 asyncio          event-loop hygiene: no blocking calls, shielded gates,
                  no fire-and-forget tasks
-seqlock          seqlock bracket / reader re-check / blessed ring-cursor
-                 accessors in ``repro.parallel``
 analysis         ``allow()`` ids name real rules (suppression audit)
 ==============  ======================================================
 
@@ -50,7 +48,6 @@ from repro.analysis import (  # noqa: F401  (imported for side effects)
     guards,
     lockorder,
     purity,
-    seqlock,
     serialization,
 )
 

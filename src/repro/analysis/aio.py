@@ -6,8 +6,8 @@ modes recur in asyncio servers and are mechanical enough to check:
 
 - **Blocking calls in coroutines** — ``time.sleep``, synchronous
   file/socket I/O, or a direct pipeline verb (``submit``/``drain``/
-  ``checkpoint_now``/``close``/``sync_pool`` on a pipeline-shaped
-  receiver) called inside an ``async def`` stalls every connection.
+  ``checkpoint_now``/``close`` on a pipeline-shaped receiver) called
+  inside an ``async def`` stalls every connection.
   Pipeline verbs belong behind ``loop.run_in_executor`` (passing the
   bound method as an argument is fine — only a *call* is flagged).
 
@@ -64,7 +64,7 @@ _BLOCKING_DOTTED = frozenset(
 
 #: Pipeline verbs that take locks / block when called synchronously.
 _PIPELINE_VERBS = frozenset(
-    {"submit", "drain", "checkpoint_now", "close", "sync_pool"}
+    {"submit", "drain", "checkpoint_now", "close"}
 )
 
 #: Methods whose *presence in a function body* makes that function a

@@ -9,8 +9,8 @@ driver loop (see ``docs/architecture.md``, "Layer 5"):
   shard with an *exactly additive* query (disjoint shards make shard
   sums unbiased even for non-mergeable SMB);
 - :mod:`repro.engine.pipeline` — :class:`IngestPipeline`, a
-  bounded-queue producer/consumer pipeline with one worker thread per
-  shard and backpressure;
+  bounded-queue producer/consumer pipeline: the producer hashes and
+  splits each chunk, one apply thread records it, with backpressure;
 - :mod:`repro.engine.checkpoint` — atomic on-disk snapshot/restore of
   pools and estimators (write-to-temp + rename, CRC-validated);
 - :mod:`repro.engine.recovery` — :class:`CheckpointManager` and

@@ -6,7 +6,6 @@ Drives a synthetic (optionally duplicated) stream through a
 estimation accuracy, and optionally checkpoints/restores the pool::
 
     repro engine --estimator SMB --shards 4 --items 1000000
-    repro engine --shards 8 --workers 4 --items 4000000
     repro engine --shards 8 --checkpoint pool.ckpt
     repro engine --restore pool.ckpt --items 500000
     repro engine --metrics-out metrics.json --metrics-interval 5
@@ -96,12 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-depth", type=int, default=8, metavar="D",
         help="ingest queue bound, in chunks (default: 8)",
     )
-    parser.add_argument(
-        "--workers", type=int, default=0, metavar="W",
-        help="ingest through W shard worker processes with shared-memory "
-        "estimator planes instead of in-process threads (default: 0 = "
-        "threaded; see docs/parallel.md)",
-    )
     parser.add_argument("--seed", type=int, default=0, help="pool seed")
     parser.add_argument(
         "--checkpoint", metavar="FILE",
@@ -157,14 +150,18 @@ def engine_main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.shards < 1:
         raise SystemExit("--shards must be >= 1")
+    if args.items < 0:
+        raise SystemExit("--items must be >= 0")
+    if args.chunk < 1:
+        raise SystemExit("--chunk must be >= 1")
+    if args.queue_depth < 1:
+        raise SystemExit("--queue-depth must be >= 1")
     if args.duplication < 1.0:
         raise SystemExit("--duplication must be >= 1.0")
     if args.metrics_interval < 0:
         raise SystemExit("--metrics-interval must be >= 0")
     if args.metrics_interval and not args.metrics_out:
         raise SystemExit("--metrics-interval requires --metrics-out")
-    if args.workers < 0:
-        raise SystemExit("--workers must be >= 0")
     if args.keep < 1:
         raise SystemExit("--keep must be >= 1")
     if args.checkpoint_every < 0:
@@ -242,7 +239,6 @@ def _run(args: "argparse.Namespace") -> int:
             design_cardinality=args.design_cardinality,
             seed=args.seed,
         )
-        assert isinstance(pool, ShardPool)  # thread backend (no workers)
 
     length = int(round(args.items * args.duplication))
     if length > args.items:
@@ -263,7 +259,6 @@ def _run(args: "argparse.Namespace") -> int:
     with IngestPipeline(
         pool, chunk_size=args.chunk, queue_depth=args.queue_depth,
         checkpoint_manager=manager, checkpoint_every=args.checkpoint_every,
-        workers=args.workers,
     ) as pipeline:
         pipeline.checkpoint_meta = lambda: {
             "records_ingested": skip + pipeline.records_submitted,
@@ -287,9 +282,7 @@ def _run(args: "argparse.Namespace") -> int:
             if snapshotter is not None:
                 snapshotter.stop()
         elapsed = time.perf_counter() - start
-        # Ask the pipeline, not the pool: with --workers the template
-        # pool is stale until the backend syncs shard state back.
-        estimate = pipeline.query_live()
+        estimate = pool.query()
         if manager is not None:
             final = pipeline.checkpoint_now()
             print(

@@ -21,8 +21,7 @@ into a concurrent streaming sink:
 One apply thread is enough: CPython threads interleave on the GIL, so
 per-shard threads would only contend for it. The overlap that matters —
 the producer hashing and splitting chunk ``i+1`` while chunk ``i`` is
-applied — needs only two threads. The multicore path is the process
-backend (``workers > 0``).
+applied — needs only two threads.
 
 **Backpressure.** The queue is bounded (``queue_depth`` chunks);
 :meth:`IngestPipeline.submit` blocks when the apply thread falls
@@ -106,11 +105,7 @@ if TYPE_CHECKING:  # import cycle guard: recovery imports checkpoint
     from types import TracebackType
 
     from repro.engine.recovery import CheckpointManager, Generation
-    from repro.obs.instrument import (
-        ParallelMetrics,
-        PipelineMetrics,
-        PoolObserver,
-    )
+    from repro.obs.instrument import PipelineMetrics, PoolObserver
 
 #: Default chunk size of the submit path — same order as SMB's dedup
 #: window (``repro.core.smb.BATCH_CHUNK``), large enough to amortize
@@ -142,17 +137,6 @@ class IngestPipeline:
         :attr:`checkpoint_meta` to enrich the generation metadata (the
         engine CLI records the absolute stream offset there for exact
         resume).
-    workers:
-        0 (default) runs the threaded backend described above. A
-        positive count switches to the **process backend**: chunks are
-        routed to a :class:`~repro.parallel.pool.ProcessShardPool` with
-        that many worker processes instead of the apply thread, so
-        hashing and recording scale past one core. The recorded state
-        is bit-for-bit identical either way; checkpoints are composed
-        from worker state at the same safe points and restore on either
-        backend. A crashed worker surfaces as
-        :class:`~repro.parallel.pool.WorkerCrashedError` from the next
-        submit/drain (the process backend never drops-and-continues).
     """
 
     def __init__(
@@ -162,7 +146,6 @@ class IngestPipeline:
         queue_depth: int = 8,
         checkpoint_manager: "CheckpointManager | None" = None,
         checkpoint_every: int = 0,
-        workers: int = 0,
     ) -> None:
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -176,11 +159,8 @@ class IngestPipeline:
             raise ValueError(
                 "checkpoint_every requires a checkpoint_manager"
             )
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
         self.pool = pool
         self.chunk_size = int(chunk_size)
-        self.workers = int(workers)
         self.records_submitted = 0  # guarded-by: _count_lock
         self._records_applied = 0  # guarded-by: _count_lock
         self.records_dropped = 0  # guarded-by: _count_lock
@@ -197,17 +177,8 @@ class IngestPipeline:
         # updates. Cost is one uncontended acquire per *chunk* or
         # sub-batch, never per item.
         self._count_lock = threading.Lock()
-        if self.workers:
-            from repro.parallel import ProcessShardPool
-
-            self._backend: "ProcessShardPool | None" = ProcessShardPool(
-                pool, self.workers
-            )
-        else:
-            self._backend = None
         # Each entry is one chunk's list of (shard index, sub-plane)
-        # pairs, or the _STOP sentinel, hence Any. Unused (and empty)
-        # on the process backend.
+        # pairs, or the _STOP sentinel, hence Any.
         self._queue: queue.Queue[Any] = queue.Queue(maxsize=queue_depth)
         self._errors: list[BaseException] = []
         # Lifecycle state: _closed flips exactly once, under _lifecycle;
@@ -231,26 +202,15 @@ class IngestPipeline:
         #: Per-shard estimate/skew gauges (None when obs disabled);
         #: call ``pool_observer.update()`` at safe points.
         self.pool_observer: "PoolObserver | None" = None
-        self._parallel_obs: "ParallelMetrics | None" = None
         if registry.enabled:
-            from repro.obs.instrument import (
-                ParallelMetrics,
-                PipelineMetrics,
-                PoolObserver,
-            )
+            from repro.obs.instrument import PipelineMetrics, PoolObserver
 
             self._obs = PipelineMetrics(registry, pool.num_shards)
             self.pool_observer = PoolObserver(registry, pool)
-            if self._backend is not None:
-                self._parallel_obs = ParallelMetrics(
-                    registry, self._backend.num_workers
-                )
-        self._applier: threading.Thread | None = None
-        if self._backend is None:
-            self._applier = threading.Thread(
-                target=self._apply, name="ingest-apply", daemon=True
-            )
-            self._applier.start()
+        self._applier = threading.Thread(
+            target=self._apply, name="ingest-apply", daemon=True
+        )
+        self._applier.start()
 
     # ------------------------------------------------------------------
     # Apply side
@@ -324,12 +284,7 @@ class IngestPipeline:
 
     @property
     def records_applied(self) -> int:
-        """Records fully applied to the pool.
-
-        Thread backend: the apply thread's counter. Process backend:
-        a live read of the workers' shared-memory counters (no IPC)."""
-        if self._backend is not None:
-            return self._backend.records_applied
+        """Records fully applied to the pool (the apply thread's counter)."""
         with self._count_lock:
             return self._records_applied
 
@@ -376,8 +331,6 @@ class IngestPipeline:
         """The body of :meth:`submit`, after lifecycle registration."""
         self._raise_pending()
         values = canonical_u64_array(items)
-        if self._backend is not None:
-            return self._submit_process(values)
         # Hash and split in the producer, at full chunk width, so the
         # apply thread only records; with one shard the split is the
         # identity and the prefetch is all the hashing there is.
@@ -437,39 +390,6 @@ class IngestPipeline:
                         self._checkpoint_mutex.release()
         return enqueued
 
-    def _submit_process(self, values: np.ndarray) -> int:
-        """Process-backend body of :meth:`submit`: route chunks to the
-        worker rings. The backend bills the pool's routing-hash counter
-        itself; record counters and periodic checkpoints behave exactly
-        as on the threaded path."""
-        backend = self._backend
-        assert backend is not None
-        obs = self._obs
-        enqueued = 0
-        for start in range(0, values.size, self.chunk_size):
-            chunk = values[start:start + self.chunk_size]
-            fire("pipeline.queue-put")
-            backend.submit_values(chunk)
-            checkpoint_due = False
-            with self._count_lock:
-                self.records_submitted += chunk.size
-                if self.checkpoint_every:
-                    self._records_since_checkpoint += chunk.size
-                    checkpoint_due = (
-                        self._records_since_checkpoint
-                        >= self.checkpoint_every
-                    )
-            enqueued += chunk.size
-            if obs is not None:
-                obs.submitted.inc(chunk.size)
-            if checkpoint_due:
-                if self._checkpoint_mutex.acquire(blocking=False):
-                    try:
-                        self._checkpoint_quiesced(None, active_allowance=1)
-                    finally:
-                        self._checkpoint_mutex.release()
-        return enqueued
-
     def checkpoint_now(
         self, meta: dict[str, Any] | None = None
     ) -> "Generation":
@@ -509,7 +429,6 @@ class IngestPipeline:
                 self._lifecycle.wait()
         try:
             self.drain()
-            self.sync_pool()
             merged: dict[str, Any] = {}
             if self.checkpoint_meta is not None:
                 merged.update(self.checkpoint_meta())
@@ -550,48 +469,16 @@ class IngestPipeline:
 
         After ``drain`` returns (and before further ``submit`` calls)
         the estimator state is identical to a synchronous ingest of all
-        submitted items — a safe point to query or checkpoint. On the
-        process backend this is a flush barrier across the worker
-        rings; the wrapped pool object itself stays stale until
-        :meth:`sync_pool`.
+        submitted items — a safe point to query or checkpoint.
         """
-        if self._backend is not None:
-            self._backend.drain()
-            if self._parallel_obs is not None:
-                self._parallel_obs.update(self._backend)
-            return
         self._queue.join()
         if self.pool_observer is not None:
             self.pool_observer.update()
         self._raise_pending()
 
-    def sync_pool(self) -> None:
-        """Make ``self.pool`` reflect all applied records.
-
-        A no-op on the threaded backend (the apply thread mutates the
-        pool's shards in place); on the process backend this folds worker
-        shard state back into the pool — required before serializing
-        or checkpointing it. Callers should :meth:`drain` first.
-        """
-        if self._backend is not None:
-            self._backend.sync()
-            if self.pool_observer is not None:
-                self.pool_observer.update()
-
-    def query_live(self) -> float:
-        """The current estimate without draining (the serving layer's
-        O(1) ESTIMATE read): applied records only, never blocks on
-        in-flight batches. Thread backend reads the pool; process
-        backend reads the workers' shared-memory estimate headers."""
-        if self._backend is not None:
-            return self._backend.query()
-        return self.pool.query()
-
     def estimate(self) -> float:
         """Drain, then return the pool's cardinality estimate."""
         self.drain()
-        if self._backend is not None:
-            return self._backend.query()
         return self.pool.query()
 
     def close(self) -> None:
@@ -621,39 +508,14 @@ class IngestPipeline:
             self._close_complete.wait()
             return
         try:
-            if self._backend is not None:
-                self._shutdown_backend()
-            elif self._applier is not None:
-                self._queue.join()
-                self._queue.put(_STOP)
-                self._applier.join()
-                if self.pool_observer is not None:
-                    self.pool_observer.update()
+            self._queue.join()
+            self._queue.put(_STOP)
+            self._applier.join()
+            if self.pool_observer is not None:
+                self.pool_observer.update()
         finally:
             self._close_complete.set()
         self._raise_pending()
-
-    def _shutdown_backend(self) -> None:
-        """Process-backend shutdown: fold state back, stop the workers.
-
-        A crashed worker is recorded (surfaced by ``_raise_pending`` at
-        the end of :meth:`close`) and the remaining workers still shut
-        down cleanly — close never hangs on a dead process."""
-        from repro.parallel import WorkerCrashedError
-
-        backend = self._backend
-        assert backend is not None
-        try:
-            backend.drain()
-            backend.sync()
-            if self.pool_observer is not None:
-                self.pool_observer.update()
-            if self._parallel_obs is not None:
-                self._parallel_obs.update(backend)
-        except WorkerCrashedError as error:
-            self._errors.append(error)
-        finally:
-            backend.close()
 
     def _raise_pending(self) -> None:
         if self._errors:

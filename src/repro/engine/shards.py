@@ -155,9 +155,7 @@ class ShardPool(CardinalityEstimator):
         num_shards: int,
         design_cardinality: int = 1_000_000,
         seed: int = 0,
-        backend: str = "thread",
-        workers: int | None = None,
-    ) -> "CardinalityEstimator":
+    ) -> "ShardPool":
         """Build a pool by estimator display name with the paper's sizing.
 
         The total ``memory_bits`` budget and the ``design_cardinality``
@@ -165,37 +163,18 @@ class ShardPool(CardinalityEstimator):
         sees ~1/K of the distinct items), and every shard shares the
         same estimator seed so that :meth:`merged` stays valid for
         mergeable types.
-
-        ``backend`` selects the execution mode: ``"thread"`` (default)
-        returns the plain in-process pool; ``"process"`` wraps it in a
-        :class:`~repro.parallel.pool.ProcessShardPool` with ``workers``
-        worker processes (default: one per shard, capped at 8). Both
-        backends use the same partitioner and seeds, so their recorded
-        state is bit-for-bit identical (contract-tested in
-        ``tests/test_parallel.py``).
         """
         from repro.bench.runner import make_estimator
 
-        if backend not in ("thread", "process"):
-            raise ValueError(
-                f"unknown backend {backend!r}; choose 'thread' or 'process'"
-            )
         shard_bits = max(64, int(memory_bits) // int(num_shards))
         shard_design = max(1_000, int(design_cardinality) // int(num_shards))
-        pool = cls(
+        return cls(
             lambda index: make_estimator(
                 estimator, shard_bits, shard_design, seed
             ),
             num_shards,
             seed=seed,
         )
-        if backend == "process":
-            from repro.parallel import ProcessShardPool
-
-            return ProcessShardPool(
-                pool, workers if workers else min(int(num_shards), 8)
-            )
-        return pool
 
     # ------------------------------------------------------------------
     # Instrumentation: pool counters aggregate routing + shard counters.

@@ -21,9 +21,6 @@ labels are documented in ``docs/observability.md``):
   counters and latency histograms, error counters by code, connection
   and in-flight gauges, byte counters and the tenant-count gauge
   (:mod:`repro.serve.server`);
-- :class:`ParallelMetrics` — per-worker gauges of the multiprocess
-  shard backend (:class:`~repro.parallel.ProcessShardPool`): request
-  ring backlog, batches/records applied and shared-memory footprint;
 - :class:`WireMetrics` — compact sketch frame codec counters
   (:mod:`repro.wire`): frames encoded/decoded by codec, raw vs wire
   bytes (the compression ratio is their quotient) and codec latency;
@@ -44,7 +41,6 @@ from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "AggMetrics",
-    "ParallelMetrics",
     "PipelineMetrics",
     "PoolObserver",
     "RecoveryMetrics",
@@ -389,57 +385,3 @@ class PoolObserver:
         self._skew.set(max(estimates) / mean - 1.0 if mean > 0 else 0.0)
         for shard, sink in self._smb_sinks:
             sink.update(shard)
-
-
-class ParallelMetrics:
-    """Per-worker gauges of the multiprocess shard backend.
-
-    Resolves one child per worker index at construction (workers never
-    change over a backend's lifetime), so :meth:`update` does plain
-    ``gauge.set`` attribute work. Driven from safe points — after a
-    drain or a checkpoint sync — by feeding it the backend's
-    ``worker_metrics()`` snapshot; nothing here runs per batch.
-    """
-
-    def __init__(self, registry: MetricsRegistry, num_workers: int) -> None:
-        backlog = registry.gauge(
-            "repro_parallel_ring_backlog_bytes",
-            "Unread request bytes queued in each worker's ring",
-            labels=("worker",),
-        )
-        batches = registry.gauge(
-            "repro_parallel_batches_applied",
-            "Batches each worker has applied to its shards",
-            labels=("worker",),
-        )
-        records = registry.gauge(
-            "repro_parallel_records_applied",
-            "Records each worker has applied to its shards",
-            labels=("worker",),
-        )
-        shm = registry.gauge(
-            "repro_parallel_shm_bytes",
-            "Shared-memory bytes owned per worker (ring + arena)",
-            labels=("worker",),
-        )
-        alive = registry.gauge(
-            "repro_parallel_worker_alive",
-            "1 while the worker process is running",
-            labels=("worker",),
-        )
-        workers = [str(index) for index in range(num_workers)]
-        self._backlog = [backlog.labels(worker=w) for w in workers]
-        self._batches = [batches.labels(worker=w) for w in workers]
-        self._records = [records.labels(worker=w) for w in workers]
-        self._shm = [shm.labels(worker=w) for w in workers]
-        self._alive = [alive.labels(worker=w) for w in workers]
-
-    def update(self, backend: object) -> None:
-        """Refresh every per-worker gauge from the backend's snapshot."""
-        for row in backend.worker_metrics():  # type: ignore[attr-defined]
-            index = int(row["worker"])
-            self._backlog[index].set(float(row["ring_backlog_bytes"]))
-            self._batches[index].set(float(row["batches_applied"]))
-            self._records[index].set(float(row["records_applied"]))
-            self._shm[index].set(float(row["shm_bytes"]))
-            self._alive[index].set(1.0 if row["alive"] else 0.0)

@@ -23,9 +23,9 @@ chunk, batch or operation — never per stream item; the
 ``purity.metric-in-loop`` rule of :mod:`repro.analysis` enforces this
 statically for the hot plane paths.
 
-All instruments are thread-safe (the ingest pipeline's shard workers
-observe histograms concurrently). Nothing in this module reads any
-clock: durations are measured at the instrumentation site with
+All instruments are thread-safe (the ingest pipeline's producers and
+apply thread observe histograms concurrently). Nothing in this module
+reads any clock: durations are measured at the instrumentation site with
 ``time.perf_counter()`` and fed into histograms only (the
 ``determinism.clock-into-metric`` rule keeps clock readings out of
 counters and gauges, so JSON snapshots of counting metrics stay

@@ -6,7 +6,6 @@ finish, pipelines close, one final checkpoint generation lands when a
 checkpoint directory is configured)::
 
     repro serve --port 9464
-    repro serve --port 0 --shards 4 --workers 4
     repro serve --port 0 --checkpoint-dir ckpts
     repro serve --checkpoint-dir ckpts --resume
     repro serve --metrics-out serve-metrics.json
@@ -80,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-tenants", type=int, default=10_000, metavar="T",
         help="refuse RECORDs that would create more tenants (default: "
-        "10000; each active tenant costs memory and K threads)",
+        "10000; each active tenant costs memory and one apply thread)",
     )
     parser.add_argument(
         "--chunk", type=int, default=DEFAULT_CHUNK, metavar="C",
@@ -89,12 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--queue-depth", type=int, default=8, metavar="D",
         help="ingest queue bound, in chunks (default: 8)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=0, metavar="W",
-        help="ingest each tenant through W shard worker processes with "
-        "shared-memory estimator planes instead of threads (default: 0 "
-        "= threaded; see docs/parallel.md)",
     )
     parser.add_argument(
         "--max-frame", type=int, default=protocol.DEFAULT_MAX_FRAME,
@@ -131,8 +124,10 @@ def serve_main(argv: list[str] | None = None) -> int:
         raise SystemExit("--port must be in [0, 65535]")
     if args.shards < 1:
         raise SystemExit("--shards must be >= 1")
-    if args.workers < 0:
-        raise SystemExit("--workers must be >= 0")
+    if args.chunk < 1:
+        raise SystemExit("--chunk must be >= 1")
+    if args.queue_depth < 1:
+        raise SystemExit("--queue-depth must be >= 1")
     if args.keep < 1:
         raise SystemExit("--keep must be >= 1")
     if args.max_frame < 1:
@@ -185,7 +180,6 @@ async def _run(args: "argparse.Namespace") -> int:
         chunk_size=args.chunk,
         queue_depth=args.queue_depth,
         max_frame=args.max_frame,
-        workers=args.workers,
     )
     host, port = await server.start(args.host, args.port)
     if server.last_generation:

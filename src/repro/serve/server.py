@@ -269,15 +269,8 @@ class CardinalityServer:
     chunk_size / queue_depth:
         Per-tenant :class:`~repro.engine.pipeline.IngestPipeline`
         tuning. Each active tenant costs one apply thread — bound
-        ``config.max_tenants`` accordingly.
-    workers:
-        When positive, each tenant's pipeline ingests through that many
-        shard worker *processes* with shared-memory estimator planes
-        instead of in-process threads (see docs/parallel.md). ESTIMATE
-        stays an inline O(1) read: it snapshots the per-worker estimate
-        table in shared memory rather than querying the (stale between
-        checkpoints) template pool. Each active tenant then costs
-        ``workers`` processes — bound ``config.max_tenants`` accordingly.
+        ``config.max_tenants`` accordingly. Both must be >= 1
+        (``ValueError`` at construction otherwise).
     """
 
     def __init__(
@@ -288,14 +281,16 @@ class CardinalityServer:
         chunk_size: int = DEFAULT_CHUNK,
         queue_depth: int = 8,
         max_frame: int = protocol.DEFAULT_MAX_FRAME,
-        workers: int = 0,
     ) -> None:
+        if chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+        if queue_depth < 1:
+            raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
         self.config = config if config is not None else TenantConfig()
         self.checkpoint_manager = checkpoint_manager
         self.resume = bool(resume)
         self.chunk_size = int(chunk_size)
         self.queue_depth = int(queue_depth)
-        self.workers = int(workers)
         self.max_frame = int(max_frame)
         self.registry = TenantRegistry(self.config)
         #: Number of the newest generation saved or restored (0 = none).
@@ -452,16 +447,16 @@ class CardinalityServer:
         try:
             if isinstance(request, Estimate):
                 response = encode_response(
-                    EstimateOk(self._estimate(request.tenant))
+                    EstimateOk(self.registry.estimate(request.tenant))
                 )
                 verb = "estimate"
             else:
                 response = encode_response(StatsOk(self.stats_document()))
                 verb = "stats"
         except Exception as error:
-            # The lock-light fast path reads estimator state that
-            # pipeline workers mutate concurrently; an exception here
-            # (however unlikely — SMB.query snapshots its counters)
+            # The lock-light fast path reads estimator state that the
+            # pipeline's apply thread mutates concurrently; an exception
+            # here (however unlikely — SMB.query snapshots its counters)
             # must become an error *frame*, not escape data_received
             # and tear the connection down.
             return self._error(protocol.E_INTERNAL, f"query failed: {error!r}")
@@ -572,11 +567,6 @@ class CardinalityServer:
         # drain really is a safe point across every tenant at once.
         for pipeline in self._pipelines.values():
             pipeline.drain()
-        for pipeline in self._pipelines.values():
-            # Process-backed pipelines: pull worker shard state back
-            # into the registry's pools so the generation captures it
-            # (no-op on the threaded backend).
-            pipeline.sync_pool()
         assert self.checkpoint_manager is not None
         generation = self.checkpoint_manager.save(
             cast(CardinalityEstimator, self.registry),
@@ -622,7 +612,6 @@ class CardinalityServer:
         pipeline = self._pipelines.get(tenant)
         if pipeline is not None:
             pipeline.drain()
-            pipeline.sync_pool()
         pool = self.registry.pools.get(tenant)
         if pool is None:
             # Unknown tenant: export a deterministic empty pool without
@@ -665,20 +654,8 @@ class CardinalityServer:
     def _merge_in_sync(self, tenant: str, frame: bytes) -> float:
         sketch = decode_sketch(frame)  # ValueError -> E_BAD_PAYLOAD
         pipeline = self._pipelines.get(tenant)
-        if pipeline is not None and pipeline.workers:
-            # Process workers hold shard state in their own shared-memory
-            # arenas; sync_pool only pulls worker state *into* the
-            # registry pool — there is no push-back, so a merge here
-            # would be silently overwritten by the next sync. Refuse
-            # rather than lose data; merge before ingest starts, or
-            # into a thread-backed server.
-            raise RuntimeError(
-                f"tenant {tenant!r} has an active process-backed "
-                "pipeline; MERGE_IN cannot reach worker shard state "
-                "(use workers=0, or merge before ingest starts)"
-            )
         if pipeline is not None:
-            # Thread backend mutates the registry pool in place; drain
+            # The apply thread mutates the registry pool in place; drain
             # to a safe point (the gate already stopped producers) so
             # the merge composes with fully-applied records.
             pipeline.drain()
@@ -697,27 +674,11 @@ class CardinalityServer:
                 pool,
                 chunk_size=self.chunk_size,
                 queue_depth=self.queue_depth,
-                workers=self.workers,
             )
             self._pipelines[tenant] = pipeline
             if self.metrics is not None:
                 self.metrics.tenants.set(len(self.registry))
         return pipeline
-
-    def _estimate(self, tenant: str) -> float:
-        """The tenant's live estimate (the ESTIMATE fast path).
-
-        A tenant with an active pipeline answers through it —
-        with process workers that is an O(1) seqlock read of the
-        shared-memory estimate table, never a stale template-pool
-        query. A tenant without a pipeline (restored from checkpoint,
-        no RECORD yet) answers from the registry; an unknown tenant is
-        0.0 and allocates nothing.
-        """
-        pipeline = self._pipelines.get(tenant)
-        if pipeline is not None:
-            return pipeline.query_live()
-        return self.registry.estimate(tenant)
 
     def _record_totals(self) -> tuple[int, int, int]:
         submitted = applied = dropped = 0

@@ -58,8 +58,8 @@ class TenantConfig:
     """Per-tenant estimator sizing, shared by every tenant of a server.
 
     ``memory_bits`` / ``design_cardinality`` size each tenant's pool
-    exactly like the paper's single-flow setting; ``shards`` > 1 turns
-    on hash-partitioned parallel ingest within a tenant; ``max_tenants``
+    exactly like the paper's single-flow setting; ``shards`` > 1
+    hash-partitions each tenant's pool into disjoint shards; ``max_tenants``
     bounds server memory (each tenant costs ~``memory_bits`` bits).
     """
 

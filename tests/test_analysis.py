@@ -984,7 +984,6 @@ class TestShippedTree:
             "guards.",
             "lockorder.",
             "asyncio.",
-            "seqlock.",
             "analysis.",
         ):
             assert family in out

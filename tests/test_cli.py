@@ -75,3 +75,37 @@ class TestMain:
         assert main(["table3", "--json", str(target)]) == 0
         payload = json.loads(target.read_text())
         assert "table3" in payload
+
+
+class TestSizeValidation:
+    """Out-of-range sizes exit with a one-line message, never a
+    traceback (engine) or a server whose every RECORD fails (serve)."""
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--chunk", "0", "--chunk must be >= 1"),
+            ("--queue-depth", "0", "--queue-depth must be >= 1"),
+            ("--items", "-5", "--items must be >= 0"),
+        ],
+    )
+    def test_engine_rejects(self, flag, value, message):
+        with pytest.raises(SystemExit, match=f"^{message}$"):
+            main(["engine", flag, value])
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--chunk", "--chunk must be >= 1"),
+            ("--queue-depth", "--queue-depth must be >= 1"),
+        ],
+    )
+    def test_serve_rejects_before_binding(self, monkeypatch, flag, message):
+        import repro.serve.cli as serve_cli
+
+        async def must_not_start(args):
+            raise AssertionError("server started with an invalid size")
+
+        monkeypatch.setattr(serve_cli, "_run", must_not_start)
+        with pytest.raises(SystemExit, match=f"^{message}$"):
+            main(["serve", "--port", "0", flag, "0"])

@@ -10,6 +10,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     HyperLogLogPlusPlus,
@@ -18,8 +20,9 @@ from repro import (
     SelfMorphingBitmap,
     ShardPool,
 )
+from repro.bench.runner import ALL_ESTIMATORS
 from repro.engine import checkpoint
-from repro.streams import distinct_items
+from repro.streams import distinct_items, stream_with_duplicates
 
 
 def smb_pool(num_shards=4, seed=0, m=1000, t=100):
@@ -215,6 +218,64 @@ class TestPipeline:
         with IngestPipeline(pool) as pipe:
             assert pipe.submit(np.array([], dtype=np.uint64)) == 0
             assert pipe.estimate() == pytest.approx(0.0, abs=1e-9)
+
+
+#: Pool sizing for the parity tests: small enough per shard that SMB
+#: morphs during the streams below, so parity covers round boundaries
+#: and not just the plain-bitmap phase.
+PARITY_MEMORY_BITS = 16_000
+PARITY_SHARDS = 4
+
+
+def parity_pool(estimator="SMB", seed=0):
+    return ShardPool.of(
+        estimator, PARITY_MEMORY_BITS, PARITY_SHARDS, seed=seed
+    )
+
+
+class TestPipelineParity:
+    """A drained pipeline holds the same bytes as synchronous
+    ``record_many`` over the same stream, for every estimator in the zoo
+    and any submission chunking."""
+
+    @pytest.mark.parametrize("estimator", sorted(ALL_ESTIMATORS))
+    def test_zoo_parity_is_bit_exact(self, estimator):
+        stream = stream_with_duplicates(8_000, 12_000, seed=7)
+        reference = parity_pool(estimator, seed=3)
+        reference.record_many(stream)
+        pool = parity_pool(estimator, seed=3)
+        with IngestPipeline(pool, chunk_size=1024, queue_depth=2) as pipe:
+            pipe.submit(stream)
+            assert pipe.estimate() == reference.query()
+        assert pool.query() == reference.query()
+        assert pool.to_bytes() == reference.to_bytes()
+        if estimator == "SMB":
+            assert all(shard.r > 0 for shard in pool.shards)
+
+    @settings(max_examples=5, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        chunk_size=st.integers(min_value=64, max_value=4_096),
+        pieces=st.lists(
+            st.integers(min_value=0, max_value=2_000),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_parity_property_any_chunking(self, seed, chunk_size, pieces):
+        stream = stream_with_duplicates(4_000, 6_000, seed=seed % 10_000)
+        reference = parity_pool(seed=seed % 100)
+        reference.record_many(stream)
+        pool = parity_pool(seed=seed % 100)
+        with IngestPipeline(pool, chunk_size=chunk_size) as pipe:
+            cursor = 0
+            for piece in pieces:
+                pipe.submit(stream[cursor:cursor + piece])
+                cursor += piece
+            pipe.submit(stream[cursor:])
+            assert pipe.estimate() == reference.query()
+        assert pool.query() == reference.query()
+        assert pool.to_bytes() == reference.to_bytes()
 
 
 class TestCheckpoint:

@@ -46,9 +46,7 @@ u64s = st.lists(st.integers(0, 2**64 - 1), max_size=400)
 
 
 def pool_of(estimator: str, num_shards: int) -> ShardPool:
-    pool = ShardPool.of(estimator, 4_000 * num_shards, num_shards, seed=SEED)
-    assert isinstance(pool, ShardPool)
-    return pool
+    return ShardPool.of(estimator, 4_000 * num_shards, num_shards, seed=SEED)
 
 
 #: Read-only pools for the routing checks, which never record.

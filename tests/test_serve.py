@@ -238,6 +238,15 @@ def test_tenant_limit_is_overloaded_error():
     assert error.transient  # RetryPolicy will retry it
 
 
+@pytest.mark.parametrize("sizes", [{"chunk_size": 0}, {"queue_depth": 0}])
+def test_invalid_pipeline_sizes_rejected_at_construction(sizes):
+    """A bad chunk or queue size fails when the server is built, not as
+    an E_INTERNAL on every later RECORD."""
+    (name,) = sizes
+    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+        CardinalityServer(make_config(), **sizes)
+
+
 def test_checkpoint_without_manager_is_clean_error():
     async def scenario():
         server = CardinalityServer(make_config())

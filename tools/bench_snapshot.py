@@ -56,15 +56,6 @@ And the wire-format pair:
   register families);
 - ``--check-wire FILE`` validates such a snapshot and re-enforces the
   register-family compression bar — used by the CI wire-bench job.
-
-And the multicore scaling gatekeeper:
-
-- ``--check-scaling FILE`` validates a ``BENCH_scaling.json`` snapshot
-  (written by ``tools/bench_scaling.py``) and enforces the machine-
-  aware acceptance bars of the process-worker backend: 4× ingest at 8
-  workers and 2.5× serve RECORD at 4 workers on an 8+-core host, 2× at
-  2 workers on smaller hosts, and a recorded waiver (never silence)
-  where the host cannot express the claim at all.
 """
 
 from __future__ import annotations
@@ -166,11 +157,6 @@ def _check(value, schema, path: str, errors: list[str]) -> None:
             schema is str and not value.strip()
         ):
             fail(schema.__name__)
-    elif schema == "text_or_null":
-        if value is not None and (
-            not isinstance(value, str) or not value.strip()
-        ):
-            fail("a non-empty string or null")
     elif schema in ("number", "count", "speedup"):
         if schema == "speedup" and value is None:
             return
@@ -341,118 +327,6 @@ def validate_metrics_snapshot(document: object) -> list[str]:
     for key in sorted(document.keys() - {"generated_by", "metrics", "run"}):
         errors.append(f"snapshot: unexpected key {key!r}")
     return errors
-
-
-# ----------------------------------------------------------------------
-# Multicore scaling snapshot (``--check-scaling`` ← BENCH_scaling.json)
-# ----------------------------------------------------------------------
-# Written by ``tools/bench_scaling.py``; validated (and its acceptance
-# bars enforced) here so CI has one snapshot gatekeeper. The bars are
-# machine-dependent — a host without enough cores records a ``waiver``
-# instead of fake speedups — so the checker re-derives the expected
-# verdict from ``cpu_count`` rather than trusting the stored ``pass``.
-
-SCALING_INGEST_ROW = {
-    "backend": ("thread", "process"),
-    "workers": "count",
-    "seconds": "count",
-    "mdps": "count",
-    "speedup_vs_1worker": "speedup",
-}
-
-SCALING_SERVE_ROW = {
-    "workers": "count",
-    "record_keys_per_second": "count",
-    "estimate_qps": "count",
-    "record_speedup_vs_0workers": "speedup",
-}
-
-SCALING_SNAPSHOT_SCHEMA = {
-    "generated_by": str,
-    "python": str,
-    "numpy": str,
-    "cpu_count": "count",
-    "estimator": str,
-    "shards": "count",
-    "stream_items": "count",
-    "ingest": [SCALING_INGEST_ROW],
-    "serve": [SCALING_SERVE_ROW],
-    "criteria": {
-        "target_ingest_speedup_at_8": "number",
-        "gating_ingest_speedup_at_2": "number",
-        "target_serve_record_speedup_at_4": "number",
-        "ingest_speedup_at_2": "speedup",
-        "ingest_speedup_at_8": "speedup",
-        "serve_record_speedup_at_4": "speedup",
-        "waiver": "text_or_null",
-        "pass": bool,
-    },
-}
-
-#: The multicore PR's acceptance bars (see docs/parallel.md).
-TARGET_INGEST_SPEEDUP_AT_8 = 4.0
-GATING_INGEST_SPEEDUP_AT_2 = 2.0
-TARGET_SERVE_RECORD_SPEEDUP_AT_4 = 2.5
-
-
-def validate_scaling_snapshot(snapshot: object) -> list[str]:
-    """Validate a BENCH_scaling.json dict; returns a list of problems."""
-    errors: list[str] = []
-    _check(snapshot, SCALING_SNAPSHOT_SCHEMA, "snapshot", errors)
-    return errors
-
-
-def check_scaling_bars(snapshot: dict) -> list[str]:
-    """Enforce the machine-aware acceptance bars; returns problems.
-
-    - 8+ cores: the full bars gate — ingest speedup at 8 workers >= 4x
-      and serve RECORD speedup at 4 workers >= 2.5x.
-    - 2–7 cores: the full bars are waived (the snapshot must say so);
-      ingest speedup at 2 workers >= 2x gates instead.
-    - 1 core: everything is waived — process workers cannot beat a
-      single-core thread run — but the waiver must be recorded; the
-      snapshot still proves the backend runs and stays correct.
-    """
-    problems = validate_scaling_snapshot(snapshot)
-    if problems:
-        return problems
-    criteria = snapshot["criteria"]
-    cpus = snapshot["cpu_count"]
-    if cpus >= 8:
-        at_8 = criteria["ingest_speedup_at_8"]
-        if at_8 is None or at_8 < TARGET_INGEST_SPEEDUP_AT_8:
-            problems.append(
-                f"ingest speedup at 8 workers {at_8} < "
-                f"{TARGET_INGEST_SPEEDUP_AT_8}x on a {cpus}-core host"
-            )
-        serve_4 = criteria["serve_record_speedup_at_4"]
-        if serve_4 is None or serve_4 < TARGET_SERVE_RECORD_SPEEDUP_AT_4:
-            problems.append(
-                f"serve RECORD speedup at 4 workers {serve_4} < "
-                f"{TARGET_SERVE_RECORD_SPEEDUP_AT_4}x on a {cpus}-core host"
-            )
-    elif cpus >= 2:
-        at_2 = criteria["ingest_speedup_at_2"]
-        if at_2 is None or at_2 < GATING_INGEST_SPEEDUP_AT_2:
-            problems.append(
-                f"ingest speedup at 2 workers {at_2} < "
-                f"{GATING_INGEST_SPEEDUP_AT_2}x on a {cpus}-core host"
-            )
-        if not criteria["waiver"]:
-            problems.append(
-                f"{cpus}-core host must record a waiver for the 8-worker bars"
-            )
-    else:
-        if not criteria["waiver"]:
-            problems.append(
-                "single-core host must record a waiver for the scaling bars"
-            )
-    if bool(criteria["pass"]) != (not problems):
-        problems.append(
-            f"criteria.pass is {criteria['pass']} but the checker "
-            f"derives {not problems}"
-        )
-    return problems
 
 
 # ----------------------------------------------------------------------
@@ -1077,15 +951,6 @@ def main(argv: list[str] | None = None) -> int:
             "register-family compression bar, then exit"
         ),
     )
-    parser.add_argument(
-        "--check-scaling",
-        metavar="FILE",
-        help=(
-            "validate a BENCH_scaling.json snapshot (from "
-            "tools/bench_scaling.py) and enforce its machine-aware "
-            "acceptance bars, then exit"
-        ),
-    )
     args = parser.parse_args(argv)
 
     if args.check is not None:
@@ -1111,20 +976,6 @@ def main(argv: list[str] | None = None) -> int:
         for problem in problems:
             print(f"schema: {problem}", file=sys.stderr)
         print(f"{args.check_serve}: {'INVALID' if problems else 'ok'}")
-        return 1 if problems else 0
-
-    if args.check_scaling is not None:
-        snapshot = json.loads(Path(args.check_scaling).read_text())
-        problems = check_scaling_bars(snapshot)
-        for problem in problems:
-            print(f"scaling: {problem}", file=sys.stderr)
-        verdict = "INVALID" if problems else "ok"
-        waiver = None
-        if isinstance(snapshot, dict):
-            waiver = snapshot.get("criteria", {}).get("waiver")
-        if waiver and not problems:
-            verdict = f"ok (waived: {waiver})"
-        print(f"{args.check_scaling}: {verdict}")
         return 1 if problems else 0
 
     if args.check_wire is not None:
